@@ -1,28 +1,25 @@
-//! Standalone measurement of the Equation-2 sweep scheduler: static
-//! contiguous chunking versus the work-stealing task list, on a
-//! uniform-degree population (where chunking is already balanced) and
-//! a skewed one (where every heavy evaluator lands in the first
-//! chunk — the imbalance the scheduler exists for).
+//! Standalone measurement of the Equation-2 sweep scheduler: the
+//! serial reference versus the work-stealing task list, on a
+//! uniform-degree population and a skewed one (the low-index eighth
+//! carries every heavy evaluator — the imbalance the cost-ordered task
+//! list exists for).
 //!
 //! Emits `BENCH_sweep.json` in the current directory (override with a
-//! path argument). All schedules are bit-identical by construction
+//! path argument). Both schedules are bit-identical by construction
 //! (gather-then-reduce; asserted here before anything is timed), so
 //! the only thing at stake is wall-clock.
 //!
 //! Two views per population:
 //!
 //! * **measured** — wall-clock of one full `system_reputation_sums`
-//!   call per schedule on this host. On a single-core machine every
-//!   schedule degenerates to serial-plus-overhead, so this column
-//!   alone cannot separate the schedulers.
+//!   call per schedule on this host. On a single-core machine work
+//!   stealing degenerates to serial-plus-overhead.
 //! * **modeled makespan** — each evaluator's sweep is timed
 //!   individually (cold memo, exactly the unit of work a sweep thread
-//!   claims), then both assignment policies are replayed over those
-//!   measured costs with 8 virtual workers: static contiguous chunks
-//!   versus the work-stealing claim order (heaviest subjective graph
-//!   first, next task to the first free worker). Deterministic given
-//!   the per-task measurements, and hardware-honest about what each
-//!   policy would cost on the sweep's real thread ceiling.
+//!   claims), then the work-stealing claim order (heaviest subjective
+//!   graph first, next task to the first free worker) is replayed over
+//!   those measured costs with 8 virtual workers. Deterministic given
+//!   the per-task measurements.
 //!
 //! Aggregated engine cache counters for one sweep land in each row.
 
@@ -118,16 +115,6 @@ fn task_costs(engines: &[ReputationEngine], targets: &[PeerId]) -> Vec<f64> {
     costs
 }
 
-/// Makespan of static contiguous chunking: each worker takes one
-/// `ceil(n / WORKERS)` slice of the evaluator list.
-fn static_makespan(task_ms: &[f64]) -> f64 {
-    let chunk = task_ms.len().div_ceil(WORKERS);
-    task_ms
-        .chunks(chunk)
-        .map(|c| c.iter().sum::<f64>())
-        .fold(0.0, f64::max)
-}
-
 /// Makespan of the work-stealing claim order: tasks sorted heaviest
 /// subjective graph first (the scheduler's cost proxy is edge count),
 /// each claimed by the first worker to free up.
@@ -154,11 +141,8 @@ struct Row {
     population: &'static str,
     n: u32,
     serial_ms: f64,
-    static_ms: f64,
     stealing_ms: f64,
-    static_makespan_ms: f64,
     stealing_makespan_ms: f64,
-    stealing_vs_static: f64,
     stats: CacheStats,
 }
 
@@ -167,30 +151,28 @@ fn measure(population_name: &'static str, n: u32, edges: impl Fn(u32) -> u64) ->
     let indices: Vec<usize> = (0..n as usize).collect();
     let targets: Vec<PeerId> = (0..n).map(PeerId).collect();
 
-    // correctness gate: every schedule must agree bitwise before
+    // correctness gate: both schedules must agree bitwise before
     // anything is timed
     let serial_sums = {
         let mut peers = population(&engines);
         system_reputation_sums(&mut peers, &indices, SweepSchedule::Serial)
     };
-    for schedule in [SweepSchedule::StaticChunks, SweepSchedule::WorkStealing] {
+    let stealing_sums = {
         let mut peers = population(&engines);
-        let sums = system_reputation_sums(&mut peers, &indices, schedule);
-        for (k, (a, b)) in serial_sums.iter().zip(&sums).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "{schedule:?} diverges at target {k}"
-            );
-        }
+        system_reputation_sums(&mut peers, &indices, SweepSchedule::WorkStealing)
+    };
+    for (k, (a, b)) in serial_sums.iter().zip(&stealing_sums).enumerate() {
+        assert_eq!(
+            a.to_bits(),
+            b.to_bits(),
+            "WorkStealing diverges at target {k}"
+        );
     }
 
     let serial_ms = time_schedule(&engines, &indices, SweepSchedule::Serial);
-    let static_ms = time_schedule(&engines, &indices, SweepSchedule::StaticChunks);
     let stealing_ms = time_schedule(&engines, &indices, SweepSchedule::WorkStealing);
 
     let costs = task_costs(&engines, &targets);
-    let static_makespan_ms = static_makespan(&costs);
     let stealing_makespan_ms = stealing_makespan(&engines, &costs);
 
     // aggregate cache counters across the population after one sweep
@@ -215,11 +197,8 @@ fn measure(population_name: &'static str, n: u32, edges: impl Fn(u32) -> u64) ->
         population: population_name,
         n,
         serial_ms,
-        static_ms,
         stealing_ms,
-        static_makespan_ms,
         stealing_makespan_ms,
-        stealing_vs_static: static_makespan_ms / stealing_makespan_ms,
         stats,
     }
 }
@@ -230,8 +209,7 @@ fn main() {
         .unwrap_or_else(|| "BENCH_sweep.json".to_string());
     let n: u32 = 256;
     // skewed: the low-index eighth of the population carries dense
-    // subjective graphs — exactly one static chunk's worth, so all the
-    // heavy evaluators land on one thread under chunking
+    // subjective graphs, so the heavy evaluators are contiguous
     let heavy = n / 8;
     let rows = vec![
         measure("uniform", n, |_| 2_000),
@@ -239,16 +217,9 @@ fn main() {
     ];
     for r in &rows {
         eprintln!(
-            "{:8}  n={}  measured serial/static/stealing {:7.2}/{:7.2}/{:7.2} ms   \
-             modeled {WORKERS}-worker static/stealing {:7.2}/{:7.2} ms   stealing_vs_static {:5.2}x",
-            r.population,
-            r.n,
-            r.serial_ms,
-            r.static_ms,
-            r.stealing_ms,
-            r.static_makespan_ms,
-            r.stealing_makespan_ms,
-            r.stealing_vs_static
+            "{:8}  n={}  measured serial/stealing {:7.2}/{:7.2} ms   \
+             modeled {WORKERS}-worker stealing {:7.2} ms",
+            r.population, r.n, r.serial_ms, r.stealing_ms, r.stealing_makespan_ms,
         );
     }
     let body: Vec<String> = rows
@@ -256,17 +227,13 @@ fn main() {
         .map(|r| {
             format!(
                 "    {{\"population\": \"{}\", \"n\": {}, \"workers_modeled\": {WORKERS}, \
-                 \"serial_ms\": {:.3}, \"static_ms\": {:.3}, \"stealing_ms\": {:.3}, \
-                 \"static_makespan_ms\": {:.3}, \"stealing_makespan_ms\": {:.3}, \
-                 \"stealing_vs_static\": {:.3}, \"cache\": {{{}}}}}",
+                 \"serial_ms\": {:.3}, \"stealing_ms\": {:.3}, \
+                 \"stealing_makespan_ms\": {:.3}, \"cache\": {{{}}}}}",
                 r.population,
                 r.n,
                 r.serial_ms,
-                r.static_ms,
                 r.stealing_ms,
-                r.static_makespan_ms,
                 r.stealing_makespan_ms,
-                r.stealing_vs_static,
                 r.stats.json_fields()
             )
         })

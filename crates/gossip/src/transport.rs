@@ -171,42 +171,6 @@ impl<T> Transport<T> {
         out
     }
 
-    /// Run the transport as an event loop until `until`: deliver every
-    /// due message in timestamp order, handing each to `on_delivery`,
-    /// which may return replies `(from, to, payload)` to send *at the
-    /// delivery time* — so a reply with a small enough delay is itself
-    /// delivered within the same drive. Returns the number of messages
-    /// delivered.
-    ///
-    /// Ties at equal timestamps keep global send order (the heap
-    /// tie-breaks on the send sequence number), so a reply scheduled at
-    /// time `t` is always delivered after every message that was
-    /// already in flight for time `t`. An empty heap is a no-op.
-    pub fn drive_until<R, F>(&mut self, rng: &mut R, until: Seconds, mut on_delivery: F) -> usize
-    where
-        R: Rng,
-        F: FnMut(&Delivery<T>) -> Vec<(PeerId, PeerId, T)>,
-    {
-        let mut delivered = 0;
-        loop {
-            match self.queue.peek() {
-                Some(Reverse(head)) if head.deliver_at <= until => {}
-                _ => return delivered,
-            }
-            let Reverse(m) = self.queue.pop().expect("peeked");
-            let delivery = Delivery {
-                at: m.deliver_at,
-                from: m.from,
-                to: m.to,
-                payload: m.payload,
-            };
-            delivered += 1;
-            for (from, to, payload) in on_delivery(&delivery) {
-                self.send(rng, delivery.at, from, to, payload);
-            }
-        }
-    }
-
     /// Messages still in flight.
     pub fn in_flight(&self) -> usize {
         self.queue.len()
@@ -306,80 +270,6 @@ mod tests {
     }
 
     #[test]
-    fn drive_until_on_empty_heap_is_a_noop() {
-        let mut t: Transport<()> = Transport::new(TransportConfig::default());
-        let mut rng = StdRng::seed_from_u64(4);
-        let delivered = t.drive_until(&mut rng, Seconds(1_000), |_| Vec::new());
-        assert_eq!(delivered, 0);
-        assert_eq!(t.in_flight(), 0);
-        assert_eq!(t.stats(), (0, 0));
-    }
-
-    #[test]
-    fn drive_until_delivers_replies_within_the_same_drive() {
-        let mut t: Transport<&str> = Transport::new(TransportConfig {
-            min_delay: Seconds(1),
-            max_delay: Seconds(1),
-            loss: 0.0,
-        });
-        let mut rng = StdRng::seed_from_u64(5);
-        t.send(&mut rng, Seconds(0), p(0), p(1), "ping");
-        let mut log = Vec::new();
-        let delivered = t.drive_until(&mut rng, Seconds(10), |d| {
-            log.push((d.at, d.payload));
-            if d.payload == "ping" {
-                vec![(d.to, d.from, "pong")]
-            } else {
-                Vec::new()
-            }
-        });
-        // ping lands at 1, the pong it triggers lands at 2 — one drive
-        assert_eq!(delivered, 2);
-        assert_eq!(log, vec![(Seconds(1), "ping"), (Seconds(2), "pong")]);
-        assert_eq!(t.in_flight(), 0);
-    }
-
-    #[test]
-    fn drive_until_ties_at_equal_timestamps_keep_send_order() {
-        let mut t: Transport<u32> = Transport::new(TransportConfig {
-            min_delay: Seconds(0),
-            max_delay: Seconds(0),
-            loss: 0.0,
-        });
-        let mut rng = StdRng::seed_from_u64(6);
-        // three messages all due at time 3, sent in order 10, 11, 12;
-        // delivery of 10 injects a zero-delay reply (13), also at 3 —
-        // which must come after the already-in-flight 11 and 12
-        for payload in [10, 11, 12] {
-            t.send(&mut rng, Seconds(3), p(0), p(1), payload);
-        }
-        let mut order = Vec::new();
-        t.drive_until(&mut rng, Seconds(3), |d| {
-            order.push(d.payload);
-            if d.payload == 10 {
-                vec![(d.to, d.from, 13)]
-            } else {
-                Vec::new()
-            }
-        });
-        assert_eq!(order, vec![10, 11, 12, 13]);
-    }
-
-    #[test]
-    fn drive_until_respects_the_horizon() {
-        let mut t: Transport<u32> = Transport::new(TransportConfig {
-            min_delay: Seconds(5),
-            max_delay: Seconds(5),
-            loss: 0.0,
-        });
-        let mut rng = StdRng::seed_from_u64(8);
-        t.send(&mut rng, Seconds(0), p(0), p(1), 1);
-        assert_eq!(t.drive_until(&mut rng, Seconds(4), |_| Vec::new()), 0);
-        assert_eq!(t.in_flight(), 1, "not due yet, must stay queued");
-        assert_eq!(t.drive_until(&mut rng, Seconds(5), |_| Vec::new()), 1);
-    }
-
-    #[test]
     fn total_loss_never_delivers_but_still_counts() {
         let mut t: Transport<u32> = Transport::new(TransportConfig {
             loss: 1.0,
@@ -395,10 +285,6 @@ mod tests {
             "every send counted, every send dropped"
         );
         assert_eq!(t.in_flight(), 0);
-        let delivered = t.drive_until(&mut rng, Seconds(1_000_000), |_| Vec::new());
-        assert_eq!(delivered, 0);
-        // replies generated inside a drive are subject to loss too:
-        // nothing can ever enter the queue at loss = 1.0
         assert_eq!(t.deliver_due(Seconds(1_000_000)), Vec::new());
     }
 

@@ -17,9 +17,9 @@
 //!   [`VirtualClock`](clock::VirtualClock) for lockstep determinism;
 //! * [`timer`] — the hashed [`TimerWheel`](timer::TimerWheel) carrying
 //!   exchange ticks, session deadlines, and dial-backoff retries;
-//! * [`wire`] — session envelopes (versioned `Hello`, `Records`,
-//!   `Bye`, and the BitTorrent-style swarm frames) framed with the
-//!   `bartercast-core` stream codec;
+//! * [`wire`] — session envelopes (versioned `Hello`, `Bye`, the
+//!   `Digest`/`Delta` record exchange, and the BitTorrent-style swarm
+//!   frames) framed with the `bartercast-core` stream codec;
 //! * [`workload`] — the [`Workload`](workload::Workload) hook a
 //!   transfer workload (e.g. `bartercast-swarm`) implements to ride
 //!   the reactor's sessions, frames, and choke-round timer;

@@ -6,8 +6,11 @@
 //! (`Hello → WaitHello → Stream → WaitBye → Done`) driven from one
 //! scan loop — the generator itself is event-driven, so 5,000 dialers
 //! cost 5,000 small structs, not 5,000 threads. Each dialer completes
-//! the handshake, streams a fixed number of `Records` frames, then
-//! sends `Bye` and waits for the echo.
+//! the handshake, streams a fixed number of stamped full `Delta` frames
+//! carrying its own records, then sends `Bye` and waits for the echo.
+//! Every dialer speaks for itself — the frame's `sender` is the dialer's
+//! id, as the target's session checks require — and records name peers
+//! outside the dialer id range, so no record is a self-record.
 //!
 //! What the [`LoadGenReport`] measures is the *target's* overload
 //! behaviour:
@@ -27,8 +30,10 @@
 use crate::transport::{Conn, Transport};
 use crate::wire::{self, Envelope};
 use bartercast_core::codec::FrameDecoder;
-use bartercast_core::{BarterCastMessage, TransferRecord};
-use bartercast_util::units::{Bytes, PeerId};
+use bartercast_core::frontier::{self, SliceRecord};
+use bartercast_core::{DeltaMsg, TransferTotals};
+use bartercast_util::units::{Bytes, PeerId, Seconds};
+use bytes::BytesMut;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -37,7 +42,7 @@ use std::time::{Duration, Instant};
 pub struct LoadGenConfig {
     /// Concurrent dialing peers.
     pub dialers: usize,
-    /// `Records` frames each dialer streams after its handshake.
+    /// Full `Delta` frames each dialer streams after its handshake.
     pub frames_per_dialer: usize,
     /// Transfer records inside each frame.
     pub records_per_frame: usize,
@@ -46,6 +51,8 @@ pub struct LoadGenConfig {
     /// Give-up deadline for the whole run.
     pub timeout: Duration,
     /// Base peer id for dialers (the target's id must not collide).
+    /// Dialers take `first_peer..first_peer + dialers`; the peers their
+    /// records name follow that range.
     pub first_peer: u32,
 }
 
@@ -88,8 +95,8 @@ pub struct LoadGenReport {
     /// Frames received back from the target (hellos, gossip, digests,
     /// byes).
     pub frames_received: u64,
-    /// Transfer records received back from the target (its `Records`
-    /// pushes and `Delta` replies).
+    /// Transfer records received back from the target (its full
+    /// pushes and digest replies).
     pub records_received: u64,
     /// Wall-clock duration of the run.
     pub elapsed: Duration,
@@ -126,6 +133,9 @@ enum DialerState {
 
 struct Dialer {
     conn: Box<dyn Conn>,
+    /// This dialer's `Delta` frame, encoded once and resent
+    /// `frames_per_dialer` times.
+    frame: BytesMut,
     decoder: FrameDecoder,
     state: DialerState,
     started: Instant,
@@ -148,7 +158,7 @@ impl Dialer {
 
     /// One scan: read what's there, advance the script, write what
     /// fits. Returns whether progress was made.
-    fn pump(&mut self, frame: &[u8], config: &LoadGenConfig, now: Instant) -> bool {
+    fn pump(&mut self, config: &LoadGenConfig, now: Instant) -> bool {
         if self.terminal() {
             return false;
         }
@@ -198,12 +208,9 @@ impl Dialer {
                     self.finished = Some(now);
                     return true;
                 }
-                (Ok(Envelope::Records(msg)), _) => {
-                    // target gossip; count it, don't act on it
-                    self.records_received += msg.len() as u64;
-                }
                 (Ok(Envelope::Digest { .. }), _) => {} // anti-entropy probe; ignore
                 (Ok(Envelope::Delta(delta)), _) => {
+                    // target gossip; count it, don't act on it
                     self.records_received += delta.records.len() as u64;
                 }
                 (Ok(Envelope::Bye), _) => {
@@ -229,7 +236,7 @@ impl Dialer {
         if let DialerState::Stream { sent } = self.state {
             let mut sent = sent;
             while sent < config.frames_per_dialer {
-                match self.conn.try_send(frame) {
+                match self.conn.try_send(&self.frame) {
                     Ok(true) => {
                         sent += 1;
                         self.frames_sent += 1;
@@ -276,22 +283,20 @@ pub fn run_loadgen(
     target: PeerId,
     config: LoadGenConfig,
 ) -> LoadGenReport {
-    // one canonical Records frame shared by every dialer: the payload
-    // content doesn't matter for overload behaviour, only its size
-    let frame = {
-        let records: Vec<TransferRecord> = (0..config.records_per_frame)
-            .map(|i| TransferRecord {
-                peer: PeerId(config.first_peer + i as u32),
+    // every dialer advertises the same slice shape under its own id:
+    // the content doesn't matter for overload behaviour, only its size
+    let record_base = config.first_peer + config.dialers as u32;
+    let slice: Vec<SliceRecord> = (0..config.records_per_frame)
+        .map(|i| SliceRecord {
+            peer: PeerId(record_base + i as u32),
+            totals: TransferTotals {
                 up: Bytes((i as u64 + 1) * 1024),
                 down: Bytes::ZERO,
-            })
-            .collect();
-        let msg = BarterCastMessage {
-            sender: PeerId(config.first_peer),
-            records,
-        };
-        wire::encode_envelope(&Envelope::Records(msg))
-    };
+                last_seen: Seconds(1),
+            },
+        })
+        .collect();
+    let stamp = frontier::frontier_of(&slice);
 
     let started = Instant::now();
     let deadline = started + config.timeout;
@@ -311,12 +316,19 @@ pub fn run_loadgen(
             match transport.connect(id, target) {
                 Ok(conn) => {
                     dialed += 1;
+                    let delta = DeltaMsg {
+                        sender: id,
+                        full: true,
+                        stamp,
+                        records: frontier::message_from_slice(id, &slice).records,
+                    };
                     let hello = wire::encode_envelope(&Envelope::Hello {
                         peer: id,
                         version: wire::NODE_PROTOCOL_VERSION,
                     });
                     let mut d = Dialer {
                         conn,
+                        frame: wire::encode_envelope(&Envelope::Delta(delta)),
                         decoder: FrameDecoder::new(),
                         state: DialerState::WaitHello,
                         started: now,
@@ -342,7 +354,7 @@ pub fn run_loadgen(
         // scan every live dialer
         let mut progress = batch > 0;
         for d in dialers.iter_mut() {
-            if d.pump(&frame, &config, now) {
+            if d.pump(&config, now) {
                 progress = true;
             }
         }
@@ -458,7 +470,7 @@ mod tests {
         assert_eq!(report.completed, 32, "all scripts must finish: {report:?}");
         assert_eq!(report.shed, 0);
         assert_eq!(report.records_sent, 32 * 2 * 4);
-        // per completed dialer: Hello + 2 Records + Bye out, the
+        // per completed dialer: Hello + 2 Deltas + Bye out, the
         // passive target's Hello + Bye echo back
         assert_eq!(report.frames_sent, 32 * 4);
         assert_eq!(report.frames_received, 32 * 2);
@@ -467,6 +479,12 @@ mod tests {
         let stats = node.shutdown();
         assert_eq!(stats.sessions_opened, 32);
         assert_eq!(stats.records_received, 32 * 2 * 4);
+        assert_eq!(
+            stats.protocol_errors, 0,
+            "every Delta speaks for its dialer"
+        );
+        // each dialer's first Delta lands; its repeat changes nothing
+        assert_eq!(stats.records_duplicate, 32 * 4);
     }
 
     #[test]

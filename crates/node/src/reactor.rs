@@ -216,16 +216,9 @@ impl NodeState {
         });
     }
 
-    /// The full exchange message for the current advertised slice.
-    pub(crate) fn full_message(&mut self, config: BarterCastConfig) -> BarterCastMessage {
-        self.refresh_slice(config);
-        let memo = self.slice_memo.as_ref().expect("memo refreshed");
-        frontier::message_from_slice(self.history.owner(), &memo.slice)
-    }
-
-    /// The full slice as a stamped `Delta` push — what v3 peers get on
-    /// establishment and fallback ticks instead of a bare `Records`
-    /// frame, so they can seed their frontier cache from the stamp.
+    /// The full slice as a stamped `Delta` push — what peers get on
+    /// establishment and fallback ticks, so they can seed their
+    /// frontier cache from the stamp.
     pub(crate) fn full_delta(&mut self, config: BarterCastConfig) -> DeltaMsg {
         self.refresh_slice(config);
         let memo = self.slice_memo.as_ref().expect("memo refreshed");
@@ -350,7 +343,7 @@ pub struct Reactor {
     /// Monotone exchange-tick counter driving the full-sync fallback
     /// cadence and the per-peer digest backoff.
     tick_no: u64,
-    /// Encode-once memo of the full-slice frames, keyed on the history
+    /// Encode-once memo of the full-slice frame, keyed on the history
     /// version; `None` bytes mean the slice is empty.
     full_cache: Option<FullCache>,
     /// Last tick a digest went to each peer.
@@ -365,15 +358,13 @@ pub struct Reactor {
     pushed: HashMap<PeerId, u64>,
 }
 
-/// The full slice of one history version, encoded once per wire shape
-/// and fanned out as shared bytes to every session that needs it:
-/// a bare `Records` frame for v2 peers, and a stamped full `Delta` for
-/// v3 peers (the stamp seeds the receiver's frontier cache, so the
-/// digest round that follows concludes in-sync).
+/// The full slice of one history version as a stamped full `Delta`
+/// frame, encoded once and fanned out as shared bytes to every session
+/// that needs it (the stamp seeds the receiver's frontier cache, so
+/// the digest round that follows concludes in-sync).
 struct FullCache {
     version: u64,
     bytes: Option<(Arc<[u8]>, u32)>,
-    delta_bytes: Option<(Arc<[u8]>, u32)>,
 }
 
 impl Reactor {
@@ -849,14 +840,13 @@ impl Reactor {
     }
 
     /// One exchange tick: sample `fanout` neighbors and run one
-    /// anti-entropy round with each — a digest to v3 peers (unless the
-    /// backoff says they answered nothing lately), the encode-once full
-    /// slice on fallback ticks and to v2 peers, a dial when no session
-    /// exists yet.
+    /// anti-entropy round with each — a digest (unless the backoff says
+    /// the peer answered nothing lately), the encode-once full slice on
+    /// fallback ticks, a dial when no session exists yet.
     fn exchange_tick(&mut self, now: Instant) {
         self.pss.tick();
         self.tick_no += 1;
-        if self.full_message_bytes().is_none() {
+        if self.full_delta_bytes().is_none() {
             return; // nothing to gossip yet
         }
         let full_tick = self.config.full_sync_every > 0
@@ -873,9 +863,8 @@ impl Reactor {
         }
     }
 
-    /// Run one sync round over an established session: a full shared-
-    /// bytes push for v2 peers and fallback ticks (stamped `Delta` for
-    /// v3 peers, bare `Records` for v2), a digest otherwise.
+    /// Run one sync round over an established session: the shared-bytes
+    /// stamped full `Delta` on full ticks, a digest otherwise.
     fn sync_with(&mut self, token: u64, target: PeerId, full_tick: bool) {
         let Some(session) = self.sessions.get(&token) else {
             return;
@@ -883,22 +872,11 @@ impl Reactor {
         if !session.is_established() {
             return;
         }
-        let v3 = session.peer_version() >= wire::NODE_PROTOCOL_VERSION;
-        if full_tick || !v3 {
-            let shared = if v3 {
-                self.full_delta_bytes()
-            } else {
-                self.full_message_bytes()
-            };
-            if let Some((bytes, records)) = shared {
+        if full_tick {
+            if let Some((bytes, records)) = self.full_delta_bytes() {
                 let cap = self.config.outbound_queue;
                 let session = self.sessions.get_mut(&token).expect("session exists");
-                let queued = if v3 {
-                    session.enqueue_shared_delta(bytes, records, cap, &self.counters)
-                } else {
-                    session.enqueue_shared_records(bytes, records, cap, &self.counters)
-                };
-                if queued {
+                if session.enqueue_shared_delta(bytes, records, cap, &self.counters) {
                     NodeCounters::inc(&self.counters.full_syncs);
                     if let Some(cache) = &self.full_cache {
                         self.pushed.insert(target, cache.version);
@@ -944,51 +922,24 @@ impl Reactor {
         streak < 2 || self.tick_no - last >= 2
     }
 
-    /// Rebuild the encode-once full-slice frames if the history has
-    /// been written since they were last encoded.
-    fn refresh_full_cache(&mut self) {
+    /// The stamped full `Delta` frame for the current history, encoded
+    /// once per history version and shared (`Arc`) across every session
+    /// it fans out to. `None` while the slice is empty.
+    fn full_delta_bytes(&mut self) -> Option<(Arc<[u8]>, u32)> {
         let mut st = self.state.lock().expect("state lock");
         let version = st.history.version();
-        if self.full_cache.as_ref().map(|c| c.version) == Some(version) {
-            return;
-        }
-        let delta = st.full_delta(self.config.bartercast);
-        let (bytes, delta_bytes) = if delta.records.is_empty() {
-            (None, None)
-        } else {
+        if self.full_cache.as_ref().map(|c| c.version) != Some(version) {
+            let delta = st.full_delta(self.config.bartercast);
             let records = delta.records.len() as u32;
-            let msg = st.full_message(self.config.bartercast);
-            let records_frame = wire::encode_envelope(&wire::Envelope::Records(msg));
-            let delta_frame = wire::encode_envelope(&wire::Envelope::Delta(delta));
-            (
-                Some((Arc::from(&records_frame[..]), records)),
-                Some((Arc::from(&delta_frame[..]), records)),
-            )
-        };
-        self.full_cache = Some(FullCache {
-            version,
-            bytes,
-            delta_bytes,
-        });
-    }
-
-    /// The full `Records` frame for the current history, encoded once
-    /// per history version and shared (`Arc`) across every v2 session
-    /// it fans out to. `None` while the history is empty.
-    fn full_message_bytes(&mut self) -> Option<(Arc<[u8]>, u32)> {
-        self.refresh_full_cache();
+            let bytes = (records > 0).then(|| {
+                let frame = wire::encode_envelope(&wire::Envelope::Delta(delta));
+                (Arc::from(&frame[..]), records)
+            });
+            self.full_cache = Some(FullCache { version, bytes });
+        }
         self.full_cache
             .as_ref()
             .and_then(|c| c.bytes.as_ref().map(|(b, n)| (Arc::clone(b), *n)))
-    }
-
-    /// The stamped full `Delta` frame for the current history — the v3
-    /// sibling of [`Reactor::full_message_bytes`].
-    fn full_delta_bytes(&mut self) -> Option<(Arc<[u8]>, u32)> {
-        self.refresh_full_cache();
-        self.full_cache
-            .as_ref()
-            .and_then(|c| c.delta_bytes.as_ref().map(|(b, n)| (Arc::clone(b), *n)))
     }
 
     fn apply_events(&mut self, events: Vec<SessionEvent>, now: Instant) {
@@ -1029,14 +980,6 @@ impl Reactor {
                             w.on_established(remote, secs, state, io)
                         });
                     }
-                }
-                SessionEvent::Records { from, msg, .. } => {
-                    let mut st = self.state.lock().expect("state lock");
-                    let changed = st.engine.absorb_message(&msg);
-                    if changed == 0 {
-                        NodeCounters::add(&self.counters.records_duplicate, msg.len() as u64);
-                    }
-                    let _ = from; // history stays private: only direct transfers enter it
                 }
                 SessionEvent::Digest { token, from, claim } => {
                     let (ours, plan, slice_len, version) = {
@@ -1279,5 +1222,89 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         assert_eq!(eofs, 3, "exactly the shed dialers see EOF");
+    }
+
+    /// A frame of the retired record-push kind (byte 2) after the
+    /// handshake is hostile input: one protocol error, an unclean close
+    /// (EOF, no `Bye`), and none of its records reach the graph — while
+    /// a `Delta` the same peer sent just before it did.
+    #[test]
+    fn retired_records_kind_is_a_protocol_error() {
+        use bartercast_core::codec::{self, FrameDecoder};
+        use bartercast_core::TransferRecord;
+        use wire::Envelope;
+
+        let transport = Arc::new(MemTransport::new(MemConfig::default()));
+        let clock: Arc<dyn Clock> = Arc::new(crate::clock::SystemClock);
+        let mut r = Reactor::new(
+            PeerId(1),
+            Arc::clone(&transport) as Arc<dyn Transport>,
+            vec![],
+            PrivateHistory::new(PeerId(1)),
+            fast_config(3),
+            clock,
+        )
+        .unwrap();
+        let record = |peer, up| TransferRecord {
+            peer: PeerId(peer),
+            up: Bytes(up),
+            down: Bytes::ZERO,
+        };
+        let hello = wire::encode_envelope(&Envelope::Hello {
+            peer: PeerId(9),
+            version: wire::NODE_PROTOCOL_VERSION,
+        });
+        let delta = wire::encode_envelope(&Envelope::Delta(DeltaMsg {
+            sender: PeerId(9),
+            full: true,
+            stamp: Frontier::default(),
+            records: vec![record(5, 4096)],
+        }));
+        let mut legacy = vec![2u8];
+        legacy.extend_from_slice(&codec::encode(&BarterCastMessage {
+            sender: PeerId(9),
+            records: vec![record(6, 8192)],
+        }));
+        let mut raw = transport.connect(PeerId(9), PeerId(1)).unwrap();
+        for frame in [&hello[..], &delta[..], &codec::frame(&legacy)[..]] {
+            assert!(raw.try_send(frame).unwrap());
+        }
+
+        let mut got = Vec::new();
+        let mut eof = false;
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while !eof && Instant::now() < deadline {
+            r.poll_once();
+            let mut buf = [0u8; 4096];
+            loop {
+                match raw.try_recv(&mut buf) {
+                    Ok(Some(0)) | Err(_) => {
+                        eof = true;
+                        break;
+                    }
+                    Ok(Some(n)) => got.extend_from_slice(&buf[..n]),
+                    Ok(None) => break,
+                }
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(eof, "the node must close the session");
+        let mut decoder = FrameDecoder::new();
+        decoder.feed(&got);
+        while let Ok(Some(payload)) = decoder.next_frame() {
+            assert_ne!(
+                wire::decode_envelope(&payload),
+                Ok(Envelope::Bye),
+                "an unclean close answers with no Bye"
+            );
+        }
+        let s = r.counters.snapshot();
+        assert_eq!(s.protocol_errors, 1);
+        assert_eq!(s.sessions_closed, 1);
+        assert_eq!(s.records_received, 1, "only the Delta's record arrived");
+        assert_eq!(
+            r.state.lock().unwrap().subjective_edges(),
+            vec![(PeerId(9), PeerId(5), Bytes(4096))]
+        );
     }
 }

@@ -21,8 +21,8 @@
 //! [`Session::pump`] does one full readiness cycle: flush buffered
 //! output, read to `WouldBlock` feeding the incremental
 //! [`FrameDecoder`](bartercast_core::codec::FrameDecoder), decode and
-//! dispatch complete frames, then write queued `Records` envelopes
-//! until the connection pushes back. Nothing ever blocks; when a pump
+//! dispatch complete frames, then write queued frames until the
+//! connection pushes back. Nothing ever blocks; when a pump
 //! can make no progress the reactor parks the session until its token
 //! wakes again. Deadlines (handshake and idle) are *checked*, not
 //! slept on — [`Session::check_deadlines`] is driven by the reactor's
@@ -37,7 +37,7 @@ use crate::stats::NodeCounters;
 use crate::transport::Conn;
 use crate::wire::{self, Envelope, SwarmFrame};
 use bartercast_core::codec::{BufPool, FrameDecoder};
-use bartercast_core::{BarterCastMessage, DeltaMsg, Frontier};
+use bartercast_core::{DeltaMsg, Frontier};
 use bartercast_util::units::PeerId;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -65,18 +65,6 @@ pub enum SessionEvent {
         remote: PeerId,
         /// Which side we are.
         direction: Direction,
-        /// Protocol version the peer advertised; v2 peers never
-        /// receive `Digest`/`Delta` envelopes.
-        version: u8,
-    },
-    /// A `Records` envelope arrived.
-    Records {
-        /// Reactor-assigned session id.
-        token: u64,
-        /// Peer the session is established with.
-        from: PeerId,
-        /// The decoded BarterCast message.
-        msg: BarterCastMessage,
     },
     /// A `Digest` envelope arrived: the peer wants whatever its claim
     /// is missing from our advertised slice.
@@ -88,8 +76,9 @@ pub enum SessionEvent {
         /// The frontier of *our* records as the peer last saw them.
         claim: Frontier,
     },
-    /// A `Delta` envelope arrived: records we were missing plus the
-    /// peer's fresh frontier stamp (cache it for the next digest).
+    /// A `Delta` envelope arrived, its sender checked against the
+    /// session peer: records we were missing plus the peer's fresh
+    /// frontier stamp (cache it for the next digest).
     Delta {
         /// Reactor-assigned session id.
         token: u64,
@@ -153,11 +142,9 @@ enum SessionState {
 /// What an outbound frame carries, for send-time accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum FrameKind {
-    /// Full `Records` push.
-    Records,
     /// Delta anti-entropy request.
     Digest,
-    /// Delta anti-entropy reply.
+    /// Records: a digest reply or a stamped full push.
     Delta,
     /// Swarm piece transfer.
     Piece,
@@ -203,8 +190,6 @@ pub struct Session {
     decoder: FrameDecoder,
     outbound: VecDeque<OutFrame>,
     remote: Option<PeerId>,
-    /// Protocol version from the peer's `Hello` (0 until it arrives).
-    peer_version: u8,
     started_at: Instant,
     last_activity: Instant,
     hello_sent: bool,
@@ -229,7 +214,6 @@ impl Session {
             decoder: FrameDecoder::new(),
             outbound: VecDeque::new(),
             remote: None,
-            peer_version: 0,
             started_at: now,
             last_activity: now,
             hello_sent: false,
@@ -247,12 +231,6 @@ impl Session {
     /// The peer on the other end, once the handshake has completed.
     pub fn remote(&self) -> Option<PeerId> {
         self.remote
-    }
-
-    /// Protocol version the peer's `Hello` advertised (0 before the
-    /// handshake completes).
-    pub fn peer_version(&self) -> u8 {
-        self.peer_version
     }
 
     /// Which side of the connection we are.
@@ -283,59 +261,13 @@ impl Session {
         self.conn.wants_write() || !self.outbound.is_empty()
     }
 
-    /// Queue a message for sending, shedding (and counting) if the
-    /// bounded queue is full. Returns whether the message was queued.
-    /// The message is encoded once, into a buffer from `pool`.
-    pub fn enqueue(
-        &mut self,
-        msg: &BarterCastMessage,
-        pool: &mut BufPool,
-        cap: usize,
-        counters: &NodeCounters,
-    ) -> bool {
-        if !self.is_established() || self.outbound.len() >= cap {
-            NodeCounters::inc(&counters.shed_session);
-            return false;
-        }
-        let mut buf = pool.take();
-        wire::encode_records_frame_into(msg, &mut buf);
-        self.outbound.push_back(OutFrame {
-            bytes: FrameBytes::Pooled(buf),
-            records: msg.len() as u32,
-            kind: FrameKind::Records,
-        });
-        true
-    }
-
-    /// Queue an already-encoded `Records` frame whose bytes are shared
-    /// across every session targeted this tick — the encode-once
-    /// fan-out path. `records` is the record count inside, for
-    /// accounting at actual send time.
-    pub fn enqueue_shared_records(
-        &mut self,
-        bytes: Arc<[u8]>,
-        records: u32,
-        cap: usize,
-        counters: &NodeCounters,
-    ) -> bool {
-        if !self.is_established() || self.outbound.len() >= cap {
-            NodeCounters::inc(&counters.shed_session);
-            return false;
-        }
-        self.outbound.push_back(OutFrame {
-            bytes: FrameBytes::Shared(bytes),
-            records,
-            kind: FrameKind::Records,
-        });
-        true
-    }
-
     /// Queue an already-encoded full `Delta` frame whose bytes are
-    /// shared across every v3 session targeted this tick — the stamped
-    /// sibling of [`Session::enqueue_shared_records`]. Carrying the
-    /// sender's frontier stamp lets the receiver seed its claim cache,
-    /// so the digest round that follows a full push concludes in-sync
-    /// instead of re-fetching the slice.
+    /// shared across every session targeted this tick — the
+    /// encode-once fan-out path. `records` is the record count inside,
+    /// for accounting at actual send time. Carrying the sender's
+    /// frontier stamp lets the receiver seed its claim cache, so the
+    /// digest round that follows a full push concludes in-sync instead
+    /// of re-fetching the slice.
     pub fn enqueue_shared_delta(
         &mut self,
         bytes: Arc<[u8]>,
@@ -488,9 +420,6 @@ impl Session {
     fn account_sent(frame: &OutFrame, counters: &NodeCounters) {
         NodeCounters::add(&counters.bytes_sent, frame.bytes.as_slice().len() as u64);
         match frame.kind {
-            FrameKind::Records => {
-                NodeCounters::add(&counters.records_sent, frame.records as u64);
-            }
             FrameKind::Delta => {
                 NodeCounters::add(&counters.records_sent, frame.records as u64);
                 NodeCounters::inc(&counters.deltas_sent);
@@ -592,9 +521,8 @@ impl Session {
                 }
             };
             match (self.state, env) {
-                (SessionState::Handshake, Envelope::Hello { peer, version }) => {
+                (SessionState::Handshake, Envelope::Hello { peer, .. }) => {
                     self.remote = Some(peer);
-                    self.peer_version = version;
                     self.counted_open = true;
                     NodeCounters::inc(&counters.sessions_opened);
                     self.state = if self.drain_requested {
@@ -606,22 +534,13 @@ impl Session {
                         token: self.token,
                         remote: peer,
                         direction: self.direction,
-                        version,
                     });
                 }
                 (SessionState::Handshake, _) => {
-                    // Records or Bye before Hello: protocol error
+                    // anything but Hello first: protocol error
                     NodeCounters::inc(&counters.protocol_errors);
                     self.close(false, counters, events);
                     return true;
-                }
-                (SessionState::Exchange | SessionState::Draining, Envelope::Records(msg)) => {
-                    NodeCounters::add(&counters.records_received, msg.len() as u64);
-                    events.push(SessionEvent::Records {
-                        token: self.token,
-                        from: self.remote.expect("established session has a remote"),
-                        msg,
-                    });
                 }
                 (
                     SessionState::Exchange | SessionState::Draining,
@@ -644,6 +563,8 @@ impl Session {
                 (SessionState::Exchange | SessionState::Draining, Envelope::Delta(msg)) => {
                     let from = self.remote.expect("established session has a remote");
                     if msg.sender != from {
+                        // records are credited to their sender, so a
+                        // delta may only carry the session peer's own
                         NodeCounters::inc(&counters.protocol_errors);
                         self.close(false, counters, events);
                         return true;
@@ -781,9 +702,12 @@ mod tests {
     use bartercast_core::TransferRecord;
     use bartercast_util::units::Bytes;
 
-    fn msg(sender: u32, peer: u32, up: u64) -> BarterCastMessage {
-        BarterCastMessage {
+    /// A one-record full `Delta` from `sender`.
+    fn delta(sender: u32, peer: u32, up: u64) -> DeltaMsg {
+        DeltaMsg {
             sender: PeerId(sender),
+            full: true,
+            stamp: Frontier::default(),
             records: vec![TransferRecord {
                 peer: PeerId(peer),
                 up: Bytes(up),
@@ -837,10 +761,8 @@ mod tests {
 
         pump_until_quiet(&mut a, &mut b, &mut pool, &counters, &mut ev_a, &mut ev_b);
         assert!(a.is_established() && b.is_established());
-        assert_eq!(a.peer_version(), wire::NODE_PROTOCOL_VERSION);
-        assert_eq!(b.peer_version(), wire::NODE_PROTOCOL_VERSION);
-        assert!(a.enqueue(&msg(0, 5, 100), &mut pool, 8, &counters));
-        assert!(b.enqueue(&msg(1, 6, 200), &mut pool, 8, &counters));
+        assert!(a.enqueue_delta(&delta(0, 5, 100), &mut pool, 8, &counters));
+        assert!(b.enqueue_delta(&delta(1, 6, 200), &mut pool, 8, &counters));
         pump_until_quiet(&mut a, &mut b, &mut pool, &counters, &mut ev_a, &mut ev_b);
 
         assert!(matches!(
@@ -849,11 +771,10 @@ mod tests {
                 token: 10,
                 remote: PeerId(1),
                 direction: Direction::Initiator,
-                version: wire::NODE_PROTOCOL_VERSION,
             }
         ));
         assert!(
-            matches!(&ev_a[1], SessionEvent::Records { from: PeerId(1), msg, .. } if msg.sender == PeerId(1))
+            matches!(&ev_a[1], SessionEvent::Delta { from: PeerId(1), msg, .. } if *msg == delta(1, 6, 200))
         );
         assert!(matches!(
             ev_b[0],
@@ -861,11 +782,10 @@ mod tests {
                 token: 20,
                 remote: PeerId(0),
                 direction: Direction::Responder,
-                version: wire::NODE_PROTOCOL_VERSION,
             }
         ));
         assert!(
-            matches!(&ev_b[1], SessionEvent::Records { from: PeerId(0), msg, .. } if msg.sender == PeerId(0))
+            matches!(&ev_b[1], SessionEvent::Delta { from: PeerId(0), msg, .. } if *msg == delta(0, 5, 100))
         );
 
         // a graceful drain from one side closes both cleanly
@@ -947,7 +867,7 @@ mod tests {
         assert!(a.is_established() && b.is_established());
 
         assert!(a.enqueue_frame(SwarmFrame::Request { piece: 4 }, &mut pool, 8, &counters));
-        assert!(a.enqueue(&msg(0, 5, 100), &mut pool, 8, &counters));
+        assert!(a.enqueue_delta(&delta(0, 5, 100), &mut pool, 8, &counters));
         assert!(b.enqueue_frame(
             SwarmFrame::Piece {
                 piece: 4,
@@ -967,9 +887,7 @@ mod tests {
                 ..
             }
         )));
-        assert!(ev_b
-            .iter()
-            .any(|e| matches!(e, SessionEvent::Records { .. })));
+        assert!(ev_b.iter().any(|e| matches!(e, SessionEvent::Delta { .. })));
         assert!(ev_a.iter().any(|e| matches!(
             e,
             SessionEvent::Frame {
@@ -1000,10 +918,10 @@ mod tests {
         let (mut ev_a, mut ev_b) = (Vec::new(), Vec::new());
         pump_until_quiet(&mut a, &mut b, &mut pool, &counters, &mut ev_a, &mut ev_b);
         assert!(a.is_established());
-        assert!(a.enqueue(&msg(0, 1, 1), &mut pool, 2, &counters));
-        assert!(a.enqueue(&msg(0, 1, 2), &mut pool, 2, &counters));
+        assert!(a.enqueue_delta(&delta(0, 1, 1), &mut pool, 2, &counters));
+        assert!(a.enqueue_delta(&delta(0, 1, 2), &mut pool, 2, &counters));
         assert!(
-            !a.enqueue(&msg(0, 1, 3), &mut pool, 2, &counters),
+            !a.enqueue_delta(&delta(0, 1, 3), &mut pool, 2, &counters),
             "cap is 2"
         );
         assert_eq!(counters.snapshot().shed_session, 1);

@@ -33,7 +33,7 @@ pub struct NodeCounters {
     /// Dials to a peer we had already had a session with — the
     /// reconnect path the backoff machinery exists for.
     pub reconnects: AtomicU64,
-    /// Transfer records sent inside `Records` envelopes.
+    /// Transfer records sent inside `Delta` envelopes.
     pub records_sent: AtomicU64,
     /// Transfer records received (before dedup).
     pub records_received: AtomicU64,
@@ -58,10 +58,10 @@ pub struct NodeCounters {
     pub pieces_received: AtomicU64,
     /// `Digest` envelopes sent (delta anti-entropy requests).
     pub digests_sent: AtomicU64,
-    /// `Delta` envelopes sent (anti-entropy replies).
+    /// `Delta` envelopes sent (digest replies and stamped full pushes).
     pub deltas_sent: AtomicU64,
-    /// Full-slice syncs decided: scheduled fallback ticks, v2-peer
-    /// pushes, and checksum-mismatch resyncs.
+    /// Full-slice syncs decided: establishment pushes, scheduled
+    /// fallback ticks, and checksum-mismatch resyncs.
     pub full_syncs: AtomicU64,
     /// Records a digest proved the peer already held, so they never
     /// touched the wire.
@@ -157,7 +157,7 @@ pub struct NodeStats {
     pub digests_sent: u64,
     /// Delta envelopes sent.
     pub deltas_sent: u64,
-    /// Full-slice sync decisions (fallback ticks, v2 pushes,
+    /// Full-slice sync decisions (establishment pushes, fallback ticks,
     /// checksum-mismatch resyncs).
     pub full_syncs: u64,
     /// Records suppressed by digest matching (never sent).

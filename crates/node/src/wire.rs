@@ -1,28 +1,32 @@
 //! Session-layer envelopes: what actually travels inside each frame.
 //!
 //! Every frame on a node-to-node connection carries one [`Envelope`]:
-//! a one-byte kind tag followed by a kind-specific body. The protocol
-//! is deliberately tiny — three message kinds are enough for a
-//! BarterCast session:
+//! a one-byte kind tag followed by a kind-specific body. There is one
+//! protocol version, [`NODE_PROTOCOL_VERSION`]; a `Hello` advertising
+//! any other version is rejected, so every established session speaks
+//! the same envelope set:
 //!
 //! * [`Envelope::Hello`] — versioned handshake, sent once by each side
 //!   immediately after connect/accept. Carries the sender's peer id so
 //!   the acceptor learns who dialed it (transports don't expose that).
-//! * [`Envelope::Records`] — one BarterCast exchange: the sender's
-//!   top-`Nh`/`Nr` slice of its private history, re-using the
-//!   `bartercast-core` wire codec verbatim as the body.
 //! * [`Envelope::Bye`] — explicit teardown, so the peer can distinguish
 //!   a graceful close from a severed connection.
-//! * [`Envelope::Digest`] (v3) — delta anti-entropy request: a compact
+//! * [`Envelope::Digest`] — delta anti-entropy request: a compact
 //!   [`Frontier`] claim ("this is the newest slice of yours I hold"),
 //!   asking the receiver to reply with only what the sender lacks.
-//! * [`Envelope::Delta`] (v3) — the reply: the missing records plus
-//!   the responder's fresh frontier stamp ([`DeltaMsg`]).
+//! * [`Envelope::Delta`] — the only record-carrying envelope: the
+//!   sender's own records plus its fresh frontier stamp
+//!   ([`DeltaMsg`]), either as a reply to a digest or as a stamped
+//!   full-slice push. Its `sender` must be the session peer.
 //! * [`Envelope::Swarm`] — one BitTorrent-style swarm frame
 //!   ([`SwarmFrame`]): bitfield/have availability advertisements,
 //!   piece requests and transfers, and choke/unchoke notifications.
 //!   These ride the same framed stream as record exchanges, so a
 //!   transfer workload and BarterCast gossip share one session.
+//!
+//! Kind byte 2 once carried an unstamped, unchecked record push. It
+//! stays unassigned, so the kind bytes of every current envelope keep
+//! their values, and a frame carrying it is a protocol error.
 //!
 //! Piece payloads are *logical*: a [`SwarmFrame::Piece`] carries the
 //! piece index and its byte size, not the bytes themselves. The
@@ -32,24 +36,19 @@
 //! contribution accounting uses the declared size.
 
 use bartercast_core::codec::{self, DecodeError};
-use bartercast_core::{BarterCastMessage, DeltaMsg, Frontier};
+use bartercast_core::{DeltaMsg, Frontier};
 use bartercast_util::units::PeerId;
 use bytes::{Buf, BufMut, BytesMut};
 use std::fmt;
 
-/// Version of the session protocol (handshake + envelope layout).
-/// Distinct from the record-codec version inside `Records` bodies.
-/// v2 added the swarm frames (kinds 4–10); v3 added the delta
-/// anti-entropy envelopes (kinds 11–12).
+/// Version of the session protocol (handshake + envelope layout), and
+/// the only one a node speaks. Distinct from the record-codec version
+/// inside record-carrying bodies. v2 added the swarm frames (kinds
+/// 4–10); v3 added the delta anti-entropy envelopes (kinds 11–12).
 pub const NODE_PROTOCOL_VERSION: u8 = 3;
 
-/// Oldest protocol version a v3 node still interoperates with. A v2
-/// peer never receives `Digest`/`Delta` — the reactor falls back to
-/// plain `Records` pushes for it — so accepting its handshake is safe.
-pub const MIN_PROTOCOL_VERSION: u8 = 2;
-
 const KIND_HELLO: u8 = 1;
-const KIND_RECORDS: u8 = 2;
+// kind 2 is unassigned (see the module docs)
 const KIND_BYE: u8 = 3;
 const KIND_BITFIELD: u8 = 4;
 const KIND_HAVE: u8 = 5;
@@ -72,15 +71,13 @@ pub enum Envelope {
     Hello {
         /// The sender's identity.
         peer: PeerId,
-        /// The protocol version the sender speaks
-        /// ([`MIN_PROTOCOL_VERSION`]`..=`[`NODE_PROTOCOL_VERSION`]).
+        /// The protocol version the sender speaks; decoding accepts
+        /// only [`NODE_PROTOCOL_VERSION`].
         version: u8,
     },
-    /// One BarterCast record exchange.
-    Records(BarterCastMessage),
     /// Graceful teardown; no more envelopes follow from the sender.
     Bye,
-    /// Delta anti-entropy request (v3): `claim` is the frontier the
+    /// Delta anti-entropy request: `claim` is the frontier the
     /// sender last saw from the receiver; the receiver answers with a
     /// [`Envelope::Delta`] of what the sender lacks, or stays silent
     /// when the claim is current.
@@ -90,8 +87,8 @@ pub enum Envelope {
         /// Frontier of the receiver's records as cached by the sender.
         claim: Frontier,
     },
-    /// Delta anti-entropy reply (v3): missing records plus the
-    /// responder's fresh frontier stamp.
+    /// Records of the sender's own history plus its fresh frontier
+    /// stamp: a digest reply, or a stamped full-slice push.
     Delta(DeltaMsg),
     /// One swarm-workload frame (piece transfer protocol).
     Swarm(SwarmFrame),
@@ -165,7 +162,7 @@ pub enum WireError {
     BadHandshake,
     /// `Hello` advertised a protocol version we don't speak.
     VersionMismatch(u8),
-    /// `Records` body failed the record codec.
+    /// A digest or delta body failed the record codec.
     Codec(DecodeError),
     /// Body shorter than its kind requires.
     Truncated,
@@ -214,10 +211,6 @@ pub fn encode_envelope_into(envelope: &Envelope, out: &mut BytesMut) {
             out.put_u8(*version);
             out.put_u32_le(peer.0);
         }
-        Envelope::Records(msg) => {
-            out.put_u8(KIND_RECORDS);
-            codec::encode_into(msg, out);
-        }
         Envelope::Bye => out.put_u8(KIND_BYE),
         Envelope::Digest { sender, claim } => {
             out.put_u8(KIND_DIGEST);
@@ -259,18 +252,6 @@ pub fn encode_envelope_into(envelope: &Envelope, out: &mut BytesMut) {
     out[..4].copy_from_slice(&(payload_len as u32).to_le_bytes());
 }
 
-/// Encode a `Records` frame into `out` without constructing an
-/// [`Envelope`] (which would need an owned message clone).
-pub(crate) fn encode_records_frame_into(msg: &BarterCastMessage, out: &mut BytesMut) {
-    out.clear();
-    out.put_u32_le(0);
-    out.put_u8(KIND_RECORDS);
-    codec::encode_into(msg, out);
-    let payload_len = out.len() - 4;
-    debug_assert!(payload_len <= codec::MAX_FRAME_BYTES);
-    out[..4].copy_from_slice(&(payload_len as u32).to_le_bytes());
-}
-
 /// Decode one frame payload (as yielded by
 /// [`FrameDecoder::next_frame`](bartercast_core::codec::FrameDecoder::next_frame))
 /// into an [`Envelope`].
@@ -287,7 +268,7 @@ pub fn decode_envelope(payload: &[u8]) -> Result<Envelope, WireError> {
                 return Err(WireError::BadHandshake);
             }
             let version = body.get_u8();
-            if !(MIN_PROTOCOL_VERSION..=NODE_PROTOCOL_VERSION).contains(&version) {
+            if version != NODE_PROTOCOL_VERSION {
                 return Err(WireError::VersionMismatch(version));
             }
             let peer = PeerId(body.get_u32_le());
@@ -296,9 +277,6 @@ pub fn decode_envelope(payload: &[u8]) -> Result<Envelope, WireError> {
             }
             Ok(Envelope::Hello { peer, version })
         }
-        KIND_RECORDS => codec::decode(body)
-            .map(Envelope::Records)
-            .map_err(WireError::Codec),
         KIND_DIGEST => codec::decode_digest(body)
             .map(|(sender, claim)| Envelope::Digest { sender, claim })
             .map_err(WireError::Codec),
@@ -390,17 +368,6 @@ mod tests {
     use bartercast_core::TransferRecord;
     use bartercast_util::units::Bytes;
 
-    fn sample_msg() -> BarterCastMessage {
-        BarterCastMessage {
-            sender: PeerId(7),
-            records: vec![TransferRecord {
-                peer: PeerId(9),
-                up: Bytes(1024),
-                down: Bytes(0),
-            }],
-        }
-    }
-
     fn sample_delta() -> DeltaMsg {
         DeltaMsg {
             sender: PeerId(7),
@@ -410,7 +377,11 @@ mod tests {
                 max_ts: bartercast_util::units::Seconds(99),
                 checksum: 0x1234_5678_9ABC_DEF0,
             },
-            records: sample_msg().records,
+            records: vec![TransferRecord {
+                peer: PeerId(9),
+                up: Bytes(1024),
+                down: Bytes(0),
+            }],
         }
     }
 
@@ -421,7 +392,6 @@ mod tests {
                 peer: PeerId(42),
                 version: NODE_PROTOCOL_VERSION,
             },
-            Envelope::Records(sample_msg()),
             Envelope::Bye,
             Envelope::Digest {
                 sender: PeerId(5),
@@ -471,25 +441,22 @@ mod tests {
             Err(WireError::VersionMismatch(NODE_PROTOCOL_VERSION + 1))
         );
         let mut frame = encode_envelope(&hello);
-        frame[6] = MIN_PROTOCOL_VERSION - 1;
+        frame[6] = 0;
         assert_eq!(
             decode_envelope(&frame[4..]),
-            Err(WireError::VersionMismatch(MIN_PROTOCOL_VERSION - 1))
+            Err(WireError::VersionMismatch(0))
         );
     }
 
     #[test]
-    fn legacy_v2_handshake_is_still_accepted() {
+    fn legacy_v2_handshake_is_rejected() {
         let frame = encode_envelope(&Envelope::Hello {
             peer: PeerId(9),
-            version: MIN_PROTOCOL_VERSION,
+            version: 2,
         });
         assert_eq!(
             decode_envelope(&frame[4..]),
-            Ok(Envelope::Hello {
-                peer: PeerId(9),
-                version: MIN_PROTOCOL_VERSION
-            })
+            Err(WireError::VersionMismatch(2))
         );
     }
 
@@ -510,10 +477,8 @@ mod tests {
             Err(WireError::BadHandshake)
         );
         assert_eq!(decode_envelope(&[KIND_BYE, 1]), Err(WireError::Truncated));
-        assert!(matches!(
-            decode_envelope(&[KIND_RECORDS, 1, 2, 3]),
-            Err(WireError::Codec(_))
-        ));
+        // the retired record-push kind is unknown, whatever its body
+        assert_eq!(decode_envelope(&[2, 1, 2, 3]), Err(WireError::BadKind(2)));
         // hostile digest/delta bodies surface as codec errors, never panics
         assert!(matches!(
             decode_envelope(&[KIND_DIGEST]),

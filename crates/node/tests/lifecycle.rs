@@ -12,7 +12,7 @@
 //!    the configured bounds, for any failure count.
 
 use bartercast_core::codec::BufPool;
-use bartercast_core::{BarterCastMessage, PrivateHistory, TransferRecord};
+use bartercast_core::{DeltaMsg, Frontier, PrivateHistory, TransferRecord};
 use bartercast_node::backoff_delay;
 use bartercast_node::mem::{MemConfig, MemTransport};
 use bartercast_node::node::{Node, NodeConfig};
@@ -77,7 +77,7 @@ fn half_open_peer_hits_the_idle_timeout() {
     assert_eq!(stats.protocol_errors, 0);
 }
 
-/// Feed a session a Records frame split at an arbitrary byte boundary,
+/// Feed a session a Delta frame split at an arbitrary byte boundary,
 /// with the peer's Bye following immediately after the second half.
 /// The partially-decoded frame must be delivered, then the Bye must
 /// close the session *clean* — nothing about the split may poison the
@@ -105,16 +105,18 @@ fn bye_after_a_partially_decoded_frame_drains_cleanly() {
     pump_settled(&mut session, &counters, &mut events);
     assert!(session.is_established());
 
-    // one Records frame, split mid-frame; Bye right behind the tail
-    let msg = BarterCastMessage {
+    // one full Delta frame, split mid-frame; Bye right behind the tail
+    let delta = DeltaMsg {
         sender: PeerId(0),
+        full: true,
+        stamp: Frontier::default(),
         records: vec![TransferRecord {
             peer: PeerId(5),
             up: Bytes(4096),
             down: Bytes::ZERO,
         }],
     };
-    let frame = wire::encode_envelope(&Envelope::Records(msg));
+    let frame = wire::encode_envelope(&Envelope::Delta(delta.clone()));
     let split = frame.len() / 2;
     assert!(split > 0 && split < frame.len());
     raw.try_send(&frame[..split]).unwrap();
@@ -122,7 +124,7 @@ fn bye_after_a_partially_decoded_frame_drains_cleanly() {
     assert!(
         !events
             .iter()
-            .any(|e| matches!(e, SessionEvent::Records { .. })),
+            .any(|e| matches!(e, SessionEvent::Delta { .. })),
         "half a frame must not decode"
     );
     assert!(!session.is_closed(), "half a frame must not close anything");
@@ -135,10 +137,11 @@ fn bye_after_a_partially_decoded_frame_drains_cleanly() {
     assert!(
         events.iter().any(|e| matches!(
             e,
-            SessionEvent::Records {
+            SessionEvent::Delta {
                 from: PeerId(0),
+                msg,
                 ..
-            }
+            } if *msg == delta
         )),
         "the split frame must be delivered before the Bye is honoured"
     );

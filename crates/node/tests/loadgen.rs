@@ -78,4 +78,8 @@ fn five_hundred_dialers_against_a_capped_node() {
         report.completed as u64 * 2 * 4,
         "completed scripts' records must all have landed"
     );
+    assert_eq!(
+        stats.protocol_errors, 0,
+        "every dialer's Delta must pass the target's sender check"
+    );
 }

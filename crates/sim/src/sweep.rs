@@ -90,12 +90,9 @@ fn max_threads() -> usize {
 /// schedules produce bit-identical sums (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SweepSchedule {
-    /// One thread, evaluators in index order.
+    /// One thread, evaluators in index order; the reference every
+    /// other schedule must match bitwise.
     Serial,
-    /// Contiguous equal-size chunks of the peer slice, one per thread
-    /// (the scheme this module's work stealing replaced; kept for
-    /// benchmarking the difference).
-    StaticChunks,
     /// Cost-ordered task list claimed via an atomic counter: threads
     /// take the heaviest pending evaluator (by layered-DAG size for
     /// bounded methods) as soon as they free up.
@@ -133,7 +130,6 @@ pub fn system_reputation_sums(
     let target_ids: Vec<PeerId> = indices.iter().map(|&i| peers[i].id).collect();
     let gathered = match schedule {
         SweepSchedule::Serial => gather_serial(peers, indices, &target_ids),
-        SweepSchedule::StaticChunks => gather_static(peers, indices, &target_ids),
         SweepSchedule::WorkStealing => gather_stealing(peers, indices, &target_ids),
     };
     let mut sums = vec![0.0; target_ids.len()];
@@ -201,52 +197,13 @@ fn gather_serial(peers: &mut [SimPeer], indices: &[usize], target_ids: &[PeerId]
         .collect()
 }
 
-/// Position in `indices` per peer index, for threads that walk the
-/// peer slice directly.
+/// Position in `indices` per peer index, for the task builder that
+/// walks the peer slice directly.
 fn positions(indices: &[usize]) -> FxHashMap<usize, usize> {
     indices
         .iter()
         .enumerate()
         .map(|(pos, &i)| (i, pos))
-        .collect()
-}
-
-fn gather_static(peers: &mut [SimPeer], indices: &[usize], target_ids: &[PeerId]) -> Vec<Vec<f64>> {
-    let pos_of = positions(indices);
-    let chunk = peers.len().div_ceil(max_threads());
-    let mut gathered: Vec<Option<Vec<f64>>> = Vec::new();
-    gathered.resize_with(indices.len(), || None);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        let mut rest: &mut [SimPeer] = peers;
-        let mut offset = 0usize;
-        while !rest.is_empty() {
-            let take = chunk.min(rest.len());
-            let (head, tail) = rest.split_at_mut(take);
-            rest = tail;
-            let base = offset;
-            offset += take;
-            let pos_of = &pos_of;
-            handles.push(scope.spawn(move || {
-                let mut local: Vec<(usize, Vec<f64>)> = Vec::new();
-                for (off, peer) in head.iter_mut().enumerate() {
-                    if let Some(&pos) = pos_of.get(&(base + off)) {
-                        let evaluator = peer.id;
-                        local.push((pos, peer.engine.reputations_from(evaluator, target_ids)));
-                    }
-                }
-                local
-            }));
-        }
-        for h in handles {
-            for (pos, values) in h.join().expect("sweep thread panicked") {
-                gathered[pos] = Some(values);
-            }
-        }
-    });
-    gathered
-        .into_iter()
-        .map(|v| v.expect("every evaluator gathered"))
         .collect()
 }
 
@@ -703,16 +660,11 @@ mod tests {
             let mut peers = skewed_population(40, 99);
             system_reputation_sums(&mut peers, &indices, SweepSchedule::Serial)
         };
-        let chunked = {
-            let mut peers = skewed_population(40, 99);
-            system_reputation_sums(&mut peers, &indices, SweepSchedule::StaticChunks)
-        };
         let stolen = {
             let mut peers = skewed_population(40, 99);
             system_reputation_sums(&mut peers, &indices, SweepSchedule::WorkStealing)
         };
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&serial), bits(&chunked));
         assert_eq!(bits(&serial), bits(&stolen));
     }
 

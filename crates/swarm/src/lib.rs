@@ -4,9 +4,8 @@
 //! with byte credits and synthetic transfer records; this crate runs
 //! the *actual* loop over the wire. A [`SwarmWorkload`] rides each
 //! node reactor's sessions with BitTorrent-style frames
-//! (bitfield/have/request/piece/choke/unchoke/cancel, protocol v2),
-//! completed
-//! piece transfers write the node's private BarterCast history — the
+//! (bitfield/have/request/piece/choke/unchoke/cancel, wire kinds
+//! 4–10 of the node protocol), completed piece transfers write the node's private BarterCast history — the
 //! **sole** source of contribution edges — the reactor's existing
 //! gossip spreads those records, and every choke round reads the live
 //! reputation engine back through the shared

@@ -38,6 +38,11 @@ cargo test -q -p bartercast-sim four_shard_smoke
 # the same 8-node lossy schedule (blind pushing measures ~58%).
 # MemTransport only — no sockets — so it runs anywhere tier-1 runs.
 cargo test -q -p bartercast-node --test cluster
+# Node unit tests: wire envelope decoding (the v3-only handshake, the
+# unassigned kind byte 2, hostile bodies), the session state machine
+# and its Delta sender check, the reactor, timer wheel, MemTransport
+# and loadgen. `cargo test -q` at the root does not reach them.
+cargo test -q -p bartercast-node --lib
 # Reactor determinism: the same lossy 8-node population driven in
 # lockstep on virtual time, twice, must produce bitwise-identical
 # NodeStats and converged graphs; plus pump-order / redundant-poll
