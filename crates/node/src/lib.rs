@@ -15,8 +15,9 @@
 //! * [`clock`] — the [`Clock`](clock::Clock) abstraction:
 //!   [`SystemClock`](clock::SystemClock) for production,
 //!   [`VirtualClock`](clock::VirtualClock) for lockstep determinism;
-//! * [`timer`] — the hashed [`TimerWheel`](timer::TimerWheel) carrying
-//!   exchange ticks, session deadlines, and dial-backoff retries;
+//! * [`timer`] — the deadline heap [`TimerQueue`](timer::TimerQueue)
+//!   carrying exchange ticks, session deadlines, dial-backoff retries
+//!   and choke rounds;
 //! * [`wire`] — session envelopes (versioned `Hello`, `Bye`, the
 //!   `Digest`/`Delta` record exchange, and the BitTorrent-style swarm
 //!   frames) framed with the `bartercast-core` stream codec;

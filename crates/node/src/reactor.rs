@@ -15,7 +15,7 @@
 //!                │  reap closed ─▶ sleep until next wake    │
 //!                └──────────────────────────────────────────┘
 //!                      ▲               │
-//!            TimerWheel┘               ▼
+//!            TimerQueue┘               ▼
 //!          Exchange / SessionCheck   Session state machines
 //!          / DialRetry               (crate::session)
 //! ```
@@ -28,7 +28,11 @@
 //!   under its session token; a peer's send notifies the token and the
 //!   reactor pumps exactly the woken sessions, in sorted-token order.
 //!   Together with the transport's split send/receive RNG streams this
-//!   makes the frame schedule a pure function of the seeds.
+//!   makes the frame schedule a pure function of the seeds. A poll
+//!   with no token woken or marked ready, no due timer and no due
+//!   in-flight frame would change nothing, so [`Reactor::poll_once`]
+//!   returns at entry instead of walking the cycle: an idle reactor
+//!   costs a few peeks.
 //! * **Fd mode** ([`TcpTransport`](crate::transport::TcpTransport)) —
 //!   the reactor collects raw fds and blocks in `poll(2)` via
 //!   [`wait_readiness`](crate::transport::wait_readiness), then pumps
@@ -37,7 +41,7 @@
 //!   cheaply).
 //!
 //! All time-driven behaviour — the periodic exchange, handshake/idle
-//! deadlines, dial-backoff retries — lives on the [`TimerWheel`]; the
+//! deadlines, dial-backoff retries — lives on the [`TimerQueue`]; the
 //! reactor never sleeps except in its single wait point, and never
 //! blocks on I/O at all. Overload is shed at two distinct points:
 //! inbound connections beyond `max_sessions` are accepted and
@@ -48,7 +52,7 @@
 use crate::clock::Clock;
 use crate::session::{Direction, Session, SessionConfig, SessionEvent};
 use crate::stats::NodeCounters;
-use crate::timer::{TimerKind, TimerWheel};
+use crate::timer::{TimerKind, TimerQueue};
 use crate::transport::{
     wait_readiness, Conn, FdInterest, Listener, ReadySource, Transport, WakeQueue, LISTENER_TOKEN,
 };
@@ -95,7 +99,7 @@ pub struct NodeConfig {
     /// Inbound connections adopted per poll cycle; bounds how long one
     /// accept storm can starve established sessions.
     pub accept_burst: usize,
-    /// Timer-wheel granularity (deadline resolution).
+    /// Timer-queue granularity (deadline resolution).
     pub tick_granularity: Duration,
     /// How long a graceful shutdown waits for sessions to drain and
     /// `Bye` before force-closing the stragglers.
@@ -312,7 +316,7 @@ pub struct Reactor {
     /// Established sessions by remote peer — the exchange tick's
     /// "reuse a live session" lookup.
     by_peer: HashMap<PeerId, u64>,
-    wheel: TimerWheel,
+    timers: TimerQueue,
     /// Tokens whose connection holds a frame that becomes readable at a
     /// future instant (mem-transport delay injection): the reactor must
     /// wake itself then, because no external notify will.
@@ -387,8 +391,8 @@ impl Reactor {
             listener.register_waker(&wake, LISTENER_TOKEN);
         }
         let now = clock.now();
-        let mut wheel = TimerWheel::new(now, config.tick_granularity, 512);
-        wheel.schedule(now, TimerKind::Exchange);
+        let mut timers = TimerQueue::new(now, config.tick_granularity);
+        timers.schedule(now, TimerKind::Exchange);
         let engine = ReputationEngine::from_private(&history);
         let mut pss = PssNode::new(id, config.pss);
         pss.bootstrap(bootstrap);
@@ -401,7 +405,7 @@ impl Reactor {
             sessions: BTreeMap::new(),
             next_token: 0,
             by_peer: HashMap::new(),
-            wheel,
+            timers,
             delayed: BTreeMap::new(),
             ready: BTreeSet::new(),
             pss,
@@ -435,7 +439,7 @@ impl Reactor {
         self.workload = Some(workload);
         self.choke_interval = choke_interval;
         let now = self.clock.now();
-        self.wheel
+        self.timers
             .schedule(now + choke_interval, TimerKind::ChokeRound);
         self.with_workload(now, |w, secs, state, io| w.on_start(secs, state, io));
     }
@@ -519,9 +523,14 @@ impl Reactor {
     /// pumps → events → reaping. Returns whether any progress was made,
     /// so callers know when to park in [`Reactor::wait`]. Time is read
     /// from the clock exactly once, at entry — under a virtual clock
-    /// the whole cycle is a pure function of (state, seeds, now).
+    /// the whole cycle is a pure function of (state, seeds, now). In
+    /// waker mode a reactor with nothing due returns `false` at entry;
+    /// fd mode always pumps every session.
     pub fn poll_once(&mut self) -> bool {
         let now = self.clock.now();
+        if self.targeted && self.idle_at(now) {
+            return false;
+        }
         let mut events: Vec<SessionEvent> = Vec::new();
         let mut progress = false;
 
@@ -531,11 +540,11 @@ impl Reactor {
         }
 
         // 2. due timers
-        for kind in self.wheel.pop_due(now) {
+        for kind in self.timers.pop_due(now) {
             match kind {
                 TimerKind::Exchange => {
                     if !self.draining {
-                        self.wheel
+                        self.timers
                             .schedule(now + self.config.exchange_interval, TimerKind::Exchange);
                         self.exchange_tick(now);
                         progress = true;
@@ -549,9 +558,9 @@ impl Reactor {
                             &self.counters,
                             &mut events,
                         ) {
-                            Some(next) => {
-                                self.wheel.schedule(next, TimerKind::SessionCheck { token })
-                            }
+                            Some(next) => self
+                                .timers
+                                .schedule(next, TimerKind::SessionCheck { token }),
                             None => progress = true, // expired
                         }
                     }
@@ -564,7 +573,7 @@ impl Reactor {
                 }
                 TimerKind::ChokeRound => {
                     if !self.draining && self.workload.is_some() {
-                        self.wheel
+                        self.timers
                             .schedule(now + self.choke_interval, TimerKind::ChokeRound);
                         self.with_workload(now, |w, secs, state, io| {
                             w.on_choke_round(secs, state, io)
@@ -661,10 +670,22 @@ impl Reactor {
         progress
     }
 
+    /// Waker mode: whether a poll at `now` would find nothing to do —
+    /// no token ready or woken, no timer due, no in-flight frame
+    /// readable. Every step of the cycle is then a no-op (the listener
+    /// wakes its token on every new connection, and the closed sessions
+    /// were reaped by the poll that closed them).
+    fn idle_at(&self, now: Instant) -> bool {
+        self.ready.is_empty()
+            && !self.timers.has_due(now)
+            && !self.delayed.values().any(|at| *at <= now)
+            && self.wake.is_empty()
+    }
+
     /// The earliest instant at which the reactor has scheduled work:
     /// the nearest timer or the nearest delayed in-flight frame.
     pub fn next_wake(&self) -> Option<Instant> {
-        let timer = self.wheel.next_deadline();
+        let timer = self.timers.next_deadline();
         let frame = self.delayed.values().min().copied();
         match (timer, frame) {
             (Some(a), Some(b)) => Some(a.min(b)),
@@ -769,7 +790,7 @@ impl Reactor {
         }
         self.sessions.insert(token, session);
         self.counters.session_adopted();
-        self.wheel.schedule(
+        self.timers.schedule(
             now + self.config.session.handshake_timeout,
             TimerKind::SessionCheck { token },
         );
@@ -835,7 +856,8 @@ impl Reactor {
         let retry_at = now + delay;
         entry.not_before = Some(retry_at);
         if !self.draining {
-            self.wheel.schedule(retry_at, TimerKind::DialRetry { peer });
+            self.timers
+                .schedule(retry_at, TimerKind::DialRetry { peer });
         }
     }
 
@@ -1073,6 +1095,7 @@ mod tests {
     use super::*;
     use crate::clock::VirtualClock;
     use crate::mem::{MemConfig, MemTransport};
+    use crate::stats::NodeStats;
     use bartercast_util::units::Seconds;
 
     fn fast_config(seed: u64) -> NodeConfig {
@@ -1120,16 +1143,14 @@ mod tests {
         assert_eq!(d3, Duration::from_millis(400));
     }
 
-    /// Two reactors pumped in lockstep on virtual time converge to each
-    /// other's records without any thread ever sleeping.
-    #[test]
-    fn two_reactors_converge_on_virtual_time() {
+    /// Two reactors bootstrapped to each other on one virtual clock.
+    fn virtual_pair(mem: MemConfig) -> (Arc<VirtualClock>, Reactor, Reactor) {
         let clock = Arc::new(VirtualClock::new());
         let transport = Arc::new(MemTransport::with_clock(
-            MemConfig::default(),
+            mem,
             Arc::clone(&clock) as Arc<dyn Clock>,
         ));
-        let mut a = Reactor::new(
+        let a = Reactor::new(
             PeerId(0),
             Arc::clone(&transport) as Arc<dyn Transport>,
             vec![PeerId(1)],
@@ -1138,7 +1159,7 @@ mod tests {
             Arc::clone(&clock) as Arc<dyn Clock>,
         )
         .unwrap();
-        let mut b = Reactor::new(
+        let b = Reactor::new(
             PeerId(1),
             Arc::clone(&transport) as Arc<dyn Transport>,
             vec![PeerId(0)],
@@ -1147,7 +1168,53 @@ mod tests {
             Arc::clone(&clock) as Arc<dyn Clock>,
         )
         .unwrap();
+        (clock, a, b)
+    }
 
+    /// Poll both reactors until neither makes progress at this instant
+    /// (at most 1000 rounds).
+    fn settle(a: &mut Reactor, b: &mut Reactor) {
+        let mut spins = 0;
+        while (a.poll_once() | b.poll_once()) && spins < 1000 {
+            spins += 1;
+        }
+    }
+
+    /// Advance the clock to the earliest scheduled wake, strictly
+    /// forward.
+    fn advance(clock: &VirtualClock, a: &Reactor, b: &Reactor) {
+        let next = [a.next_wake(), b.next_wake()]
+            .into_iter()
+            .flatten()
+            .min()
+            .expect("idle reactors must still hold their exchange timer");
+        let now = clock.now();
+        clock.advance_to(next.max(now + Duration::from_micros(1)));
+    }
+
+    /// What an idle poll must leave untouched: counters, next wake,
+    /// session count and subjective edges.
+    type Observed = (
+        NodeStats,
+        Option<Instant>,
+        usize,
+        Vec<(PeerId, PeerId, Bytes)>,
+    );
+
+    fn observe(r: &Reactor) -> Observed {
+        (
+            r.counters().snapshot(),
+            r.next_wake(),
+            r.session_count(),
+            r.state().lock().unwrap().subjective_edges(),
+        )
+    }
+
+    /// Two reactors pumped in lockstep on virtual time converge to each
+    /// other's records without any thread ever sleeping.
+    #[test]
+    fn two_reactors_converge_on_virtual_time() {
+        let (clock, mut a, mut b) = virtual_pair(MemConfig::default());
         let want = 2; // 0→1 (a's upload) and 1→2 (b's upload)
         for _step in 0..10_000 {
             // settle every event available at this virtual instant
@@ -1160,20 +1227,108 @@ mod tests {
             if ea.len() >= want && ea == eb {
                 return; // converged
             }
-            // advance to the earliest scheduled wake, strictly forward
-            let next = [a.next_wake(), b.next_wake()]
-                .into_iter()
-                .flatten()
-                .min()
-                .expect("idle reactors must still hold their exchange timer");
-            let now = clock.now();
-            clock.advance_to(next.max(now + Duration::from_micros(1)));
+            advance(&clock, &a, &b);
         }
         panic!(
             "no convergence: a={:?} b={:?}",
             a.counters.snapshot(),
             b.counters.snapshot()
         );
+    }
+
+    /// A settled reactor polled again — at the same instant, or short of
+    /// its next wake — returns `false` at entry and changes nothing.
+    #[test]
+    fn an_idle_poll_returns_early_and_changes_nothing() {
+        let (clock, mut a, mut b) = virtual_pair(MemConfig::default());
+        while clock.elapsed() < Duration::from_millis(100) {
+            settle(&mut a, &mut b);
+            advance(&clock, &a, &b);
+        }
+        settle(&mut a, &mut b);
+        let before = observe(&a);
+        assert!(before.2 > 0, "a session is live");
+        assert!(!before.3.is_empty(), "records have arrived");
+        assert!(a.idle_at(clock.now()));
+        assert!(!a.poll_once(), "a settled reactor has nothing to do");
+        assert_eq!(observe(&a), before);
+
+        let now = clock.now();
+        let next = a.next_wake().expect("the exchange timer is queued");
+        clock.advance_to(now + (next - now) / 2);
+        assert!(a.idle_at(clock.now()));
+        assert!(!a.poll_once(), "nothing is due short of the next wake");
+        assert_eq!(observe(&a), before);
+
+        // a new dialer wakes the listener's token, and only that ends
+        // the idle spell
+        let _dialer = a.transport.connect(PeerId(9), PeerId(0)).unwrap();
+        assert!(!a.idle_at(clock.now()));
+        assert!(a.poll_once(), "the woken listener accepts");
+        assert_eq!(a.session_count(), before.2 + 1);
+    }
+
+    /// Tokens marked ready between polls — here by a graceful shutdown —
+    /// make the next poll do work even with no wake and no timer due.
+    #[test]
+    fn a_poll_after_shutdown_pumps_the_marked_sessions() {
+        let (clock, mut a, mut b) = virtual_pair(MemConfig::default());
+        while clock.elapsed() < Duration::from_millis(100) {
+            settle(&mut a, &mut b);
+            advance(&clock, &a, &b);
+        }
+        settle(&mut a, &mut b);
+        assert!(a.session_count() > 0);
+        a.begin_shutdown();
+        assert!(!a.idle_at(clock.now()), "the sessions are marked ready");
+        assert!(a.poll_once(), "every session is pumped toward its Bye");
+        while !a.drained() && clock.elapsed() < Duration::from_millis(200) {
+            settle(&mut a, &mut b);
+            advance(&clock, &a, &b);
+        }
+        assert!(a.drained(), "the drain completes");
+    }
+
+    /// The boot `Exchange` is queued at elapsed 0 and fires on the first
+    /// poll there, although `next_deadline` reports one granularity.
+    #[test]
+    fn the_first_poll_at_boot_fires_the_exchange() {
+        let (clock, mut a, _b) = virtual_pair(MemConfig::default());
+        assert_eq!(clock.elapsed(), Duration::ZERO);
+        assert!(!a.idle_at(clock.now()), "the boot exchange is due");
+        assert!(a.poll_once());
+        assert_eq!(
+            a.session_count(),
+            1,
+            "the exchange dialed the bootstrap peer"
+        );
+        assert!(a.next_wake().unwrap() > clock.now());
+    }
+
+    /// A frame still in simulated flight is the reactor's own wake-up:
+    /// no notify arrives when it lands, so the reactor stays idle until
+    /// the frame's ready instant and does work exactly then.
+    #[test]
+    fn a_delayed_frame_wakes_the_reactor_at_its_ready_instant() {
+        let delay = Duration::from_millis(5);
+        let (clock, mut a, mut b) = virtual_pair(MemConfig {
+            min_delay: delay,
+            max_delay: delay,
+            ..MemConfig::default()
+        });
+        settle(&mut a, &mut b); // both dial; every Hello is in flight
+        let ready_at = clock.now() + delay;
+        assert_eq!(b.next_wake(), Some(ready_at));
+
+        clock.advance_to(ready_at - Duration::from_micros(1));
+        assert!(b.idle_at(clock.now()));
+        assert!(!b.poll_once());
+
+        clock.advance_to(ready_at);
+        assert!(!b.idle_at(clock.now()));
+        let handshakes = b.counters().snapshot().sessions_opened;
+        assert!(b.poll_once(), "the landed frame is read");
+        assert!(b.counters().snapshot().sessions_opened > handshakes);
     }
 
     /// Inbound connections beyond `max_sessions` are shed at accept and

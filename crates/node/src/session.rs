@@ -26,7 +26,7 @@
 //! can make no progress the reactor parks the session until its token
 //! wakes again. Deadlines (handshake and idle) are *checked*, not
 //! slept on — [`Session::check_deadlines`] is driven by the reactor's
-//! timer wheel.
+//! timer queue.
 //!
 //! Everything the node core needs to know flows back as
 //! [`SessionEvent`]s pushed onto a plain `Vec` the reactor hands in —

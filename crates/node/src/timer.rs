@@ -1,28 +1,27 @@
-//! The reactor's timer wheel.
+//! The reactor's timer queue.
 //!
 //! Every delayed action in the runtime — the periodic exchange tick,
-//! per-session handshake/idle deadlines, and dial-backoff retries —
-//! lives on one hashed [`TimerWheel`] instead of a sleeping thread.
-//! The wheel is a ring of slots, each `granularity` wide; a timer due
-//! at absolute tick `t` sits in slot `t % slots`, carrying `t` so
-//! entries from later wheel revolutions can share the slot without
-//! firing early. [`TimerWheel::pop_due`] walks the cursor forward to
-//! the current tick and drains exactly the entries whose tick has
-//! passed, preserving (tick, insertion) order — which keeps the
-//! deterministic cluster driver's timer schedule reproducible.
+//! per-session handshake/idle deadlines, dial-backoff retries and the
+//! workload's choke rounds — lives on one [`TimerQueue`] instead of a
+//! sleeping thread. The queue is a binary min-heap keyed on
+//! `(tick, insertion seq)`, where `tick` is the deadline rounded up to
+//! whole `granularity` steps since `start`. [`TimerQueue::pop_due`]
+//! pops while the earliest tick has been reached, so timers fire in
+//! (tick, insertion) order — which keeps the deterministic cluster
+//! drivers' timer schedules reproducible.
 //!
-//! Everything is O(1) per insert and O(slots walked) per poll; there
-//! is no allocation-heavy heap and no per-timer thread. With the
-//! default 1 ms granularity and 512 slots one revolution covers half a
-//! second, comfortably above the runtime's poll cadence, so far-future
-//! timers (30 s backoff caps) simply ride around the ring a few times.
+//! Insert and pop are O(log n). The earliest deadline
+//! ([`TimerQueue::next_deadline`]) and the "is anything due" check
+//! ([`TimerQueue::has_due`]) are peeks at the heap's top, so a reactor
+//! asking when to wake next pays nothing per queued timer.
 
 use bartercast_util::units::PeerId;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
 
 /// What to do when a timer fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum TimerKind {
     /// Periodic gossip exchange: build a message, sample targets, dial.
     Exchange,
@@ -41,105 +40,100 @@ pub enum TimerKind {
     ChokeRound,
 }
 
+/// A deadline heap over [`Instant`]s.
 #[derive(Debug)]
-struct Entry {
-    tick: u64,
-    kind: TimerKind,
-}
-
-/// A hashed timer wheel over [`Instant`]s.
-#[derive(Debug)]
-pub struct TimerWheel {
+pub struct TimerQueue {
     start: Instant,
     granularity: Duration,
-    slots: Vec<VecDeque<Entry>>,
-    /// Next tick to process; every queued entry has `tick >= current`.
+    /// Min-heap on `(tick, seq)`; `seq` is unique, so the kind is never
+    /// compared.
+    heap: BinaryHeap<Reverse<(u64, u64, TimerKind)>>,
+    /// Highest tick [`TimerQueue::pop_due`] has reached; every queued
+    /// entry has `tick >= current`.
     current: u64,
-    len: usize,
+    /// Insertion counter: timers on the same tick fire first-in
+    /// first-out.
+    seq: u64,
 }
 
-impl TimerWheel {
-    /// A wheel anchored at `start` with `slots` slots of `granularity`
-    /// each. `start` should be the clock's current instant at boot.
-    pub fn new(start: Instant, granularity: Duration, slots: usize) -> Self {
+impl TimerQueue {
+    /// A queue anchored at `start` with ticks of `granularity`. `start`
+    /// should be the clock's current instant at boot.
+    pub fn new(start: Instant, granularity: Duration) -> Self {
         assert!(granularity > Duration::ZERO);
-        assert!(slots >= 2);
-        TimerWheel {
+        TimerQueue {
             start,
             granularity,
-            slots: (0..slots).map(|_| VecDeque::new()).collect(),
+            heap: BinaryHeap::new(),
             current: 0,
-            len: 0,
+            seq: 0,
         }
     }
 
     /// Number of queued timers.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// Whether no timers are queued.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
     }
 
+    /// The tick a deadline falls on, rounded up.
     fn tick_of(&self, t: Instant) -> u64 {
         let nanos = t.saturating_duration_since(self.start).as_nanos();
-        let g = self.granularity.as_nanos();
-        nanos.div_ceil(g) as u64
+        nanos.div_ceil(self.granularity.as_nanos()) as u64
     }
 
-    /// Queue `kind` to fire at (or just after) `deadline`. Deadlines in
-    /// the past fire on the next [`TimerWheel::pop_due`].
+    /// The last tick reached at `now`, rounded down.
+    fn target(&self, now: Instant) -> u64 {
+        let nanos = now.saturating_duration_since(self.start).as_nanos();
+        (nanos / self.granularity.as_nanos()) as u64
+    }
+
+    fn min_tick(&self) -> Option<u64> {
+        self.heap.peek().map(|Reverse((tick, _, _))| *tick)
+    }
+
+    /// Queue `kind` to fire at (or just after) `deadline`. Deadlines
+    /// before the last tick [`TimerQueue::pop_due`] reached fire on the
+    /// next pop, behind everything already due there.
     pub fn schedule(&mut self, deadline: Instant, kind: TimerKind) {
         let tick = self.tick_of(deadline).max(self.current);
-        let slot = (tick % self.slots.len() as u64) as usize;
-        self.slots[slot].push_back(Entry { tick, kind });
-        self.len += 1;
+        self.heap.push(Reverse((tick, self.seq, kind)));
+        self.seq += 1;
     }
 
-    /// Advance the cursor to `now` and return every timer that came
-    /// due, in (tick, insertion) order. The cursor stops *at* the
-    /// current tick (not past it), so an entry scheduled for "now"
-    /// right after a poll still fires on the next poll at the same
-    /// instant rather than waiting out a granularity step.
+    /// Whether [`TimerQueue::pop_due`] at `now` would return anything:
+    /// the earliest tick is at or below `floor(elapsed / granularity)`.
+    pub fn has_due(&self, now: Instant) -> bool {
+        self.min_tick().is_some_and(|tick| tick <= self.target(now))
+    }
+
+    /// Return every timer due at `now`, in (tick, insertion) order. The
+    /// reached tick is `now` rounded *down*, so an entry scheduled for
+    /// "now" right after a poll still fires on the next poll at the
+    /// same instant rather than waiting out a granularity step.
     pub fn pop_due(&mut self, now: Instant) -> Vec<TimerKind> {
-        let elapsed = now.saturating_duration_since(self.start).as_nanos();
-        let target = (elapsed / self.granularity.as_nanos()) as u64;
+        let target = self.target(now);
+        self.current = self.current.max(target);
         let mut due = Vec::new();
-        while self.current <= target {
-            let slot = (self.current % self.slots.len() as u64) as usize;
-            if !self.slots[slot].is_empty() {
-                let entries = std::mem::take(&mut self.slots[slot]);
-                for e in entries {
-                    if e.tick <= self.current {
-                        due.push(e.kind);
-                        self.len -= 1;
-                    } else {
-                        self.slots[slot].push_back(e); // a later revolution
-                    }
-                }
-            }
-            if self.current == target {
-                break;
-            }
-            self.current += 1;
+        while self.min_tick().is_some_and(|tick| tick <= target) {
+            let Reverse((_, _, kind)) = self.heap.pop().expect("peeked");
+            due.push(kind);
         }
         due
     }
 
     /// The earliest queued deadline, if any — what the reactor sleeps
-    /// until.
+    /// until. The instant is the deadline's tick, except that tick 0 is
+    /// reported as `start + granularity`: a timer queued at `start`
+    /// itself is already due at `start` (see [`TimerQueue::has_due`]),
+    /// but callers sleeping until this instant always move forward.
     pub fn next_deadline(&self) -> Option<Instant> {
-        if self.len == 0 {
-            return None;
-        }
-        let min_tick = self
-            .slots
-            .iter()
-            .flat_map(|s| s.iter().map(|e| e.tick))
-            .min()?;
-        let nanos = self.granularity.as_nanos() as u64 * min_tick.max(1);
+        let tick = self.min_tick()?;
+        let nanos = self.granularity.as_nanos() as u64 * tick.max(1);
         Some(self.start + Duration::from_nanos(nanos))
     }
 }
@@ -147,81 +141,192 @@ impl TimerWheel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
-    fn wheel(granularity_ms: u64, slots: usize) -> (TimerWheel, Instant) {
+    fn queue(granularity_ms: u64) -> (TimerQueue, Instant) {
         let start = Instant::now();
         (
-            TimerWheel::new(start, Duration::from_millis(granularity_ms), slots),
+            TimerQueue::new(start, Duration::from_millis(granularity_ms)),
             start,
         )
     }
 
     #[test]
     fn fires_in_deadline_then_insertion_order() {
-        let (mut w, t0) = wheel(1, 8);
-        w.schedule(
+        let (mut q, t0) = queue(1);
+        q.schedule(
             t0 + Duration::from_millis(5),
             TimerKind::SessionCheck { token: 5 },
         );
-        w.schedule(
+        q.schedule(
             t0 + Duration::from_millis(2),
             TimerKind::SessionCheck { token: 2 },
         );
-        w.schedule(
+        q.schedule(
             t0 + Duration::from_millis(2),
             TimerKind::SessionCheck { token: 3 },
         );
-        assert_eq!(w.pop_due(t0 + Duration::from_millis(1)), vec![]);
+        assert_eq!(q.pop_due(t0 + Duration::from_millis(1)), vec![]);
         assert_eq!(
-            w.pop_due(t0 + Duration::from_millis(10)),
+            q.pop_due(t0 + Duration::from_millis(10)),
             vec![
                 TimerKind::SessionCheck { token: 2 },
                 TimerKind::SessionCheck { token: 3 },
                 TimerKind::SessionCheck { token: 5 },
             ]
         );
-        assert!(w.is_empty());
+        assert!(q.is_empty());
     }
 
     #[test]
-    fn far_future_timers_survive_wheel_revolutions() {
-        let (mut w, t0) = wheel(1, 4); // one revolution = 4 ms
-        w.schedule(t0 + Duration::from_millis(11), TimerKind::Exchange);
-        w.schedule(
+    fn far_future_timers_wait_their_turn() {
+        let (mut q, t0) = queue(1);
+        q.schedule(t0 + Duration::from_millis(11), TimerKind::Exchange);
+        q.schedule(
             t0 + Duration::from_millis(3),
             TimerKind::SessionCheck { token: 1 },
         );
         assert_eq!(
-            w.pop_due(t0 + Duration::from_millis(4)),
+            q.pop_due(t0 + Duration::from_millis(4)),
             vec![TimerKind::SessionCheck { token: 1 }]
         );
-        assert_eq!(w.pop_due(t0 + Duration::from_millis(10)), vec![]);
+        assert_eq!(q.pop_due(t0 + Duration::from_millis(10)), vec![]);
         assert_eq!(
-            w.pop_due(t0 + Duration::from_millis(12)),
+            q.pop_due(t0 + Duration::from_millis(12)),
             vec![TimerKind::Exchange]
         );
     }
 
     #[test]
     fn past_deadlines_fire_on_next_poll() {
-        let (mut w, t0) = wheel(1, 8);
+        let (mut q, t0) = queue(1);
         let now = t0 + Duration::from_millis(20);
-        w.pop_due(now); // move the cursor forward first
-        w.schedule(t0 + Duration::from_millis(1), TimerKind::Exchange); // already past
-        assert_eq!(w.pop_due(now), vec![TimerKind::Exchange]);
+        q.pop_due(now); // move the cursor forward first
+        q.schedule(t0 + Duration::from_millis(1), TimerKind::Exchange); // already past
+        assert!(q.has_due(now));
+        assert_eq!(q.pop_due(now), vec![TimerKind::Exchange]);
     }
 
     #[test]
     fn next_deadline_tracks_the_minimum() {
-        let (mut w, t0) = wheel(2, 8);
-        assert_eq!(w.next_deadline(), None);
-        w.schedule(t0 + Duration::from_millis(9), TimerKind::Exchange);
-        w.schedule(
+        let (mut q, t0) = queue(2);
+        assert_eq!(q.next_deadline(), None);
+        q.schedule(t0 + Duration::from_millis(9), TimerKind::Exchange);
+        q.schedule(
             t0 + Duration::from_millis(3),
             TimerKind::SessionCheck { token: 1 },
         );
-        let next = w.next_deadline().unwrap();
+        let next = q.next_deadline().unwrap();
         assert!(next <= t0 + Duration::from_millis(4));
         assert!(next > t0);
+    }
+
+    /// The boot edge: the reactor's first `Exchange` is queued at
+    /// `start` and must be due there, although `next_deadline` rounds
+    /// tick 0 up to one granularity. A due check written as
+    /// `next_deadline() <= now` would skip the boot exchange.
+    #[test]
+    fn a_timer_at_start_is_due_at_start() {
+        let (mut q, t0) = queue(1);
+        q.schedule(t0, TimerKind::Exchange);
+        assert!(q.has_due(t0));
+        assert_eq!(q.next_deadline(), Some(t0 + Duration::from_millis(1)));
+        assert_eq!(q.pop_due(t0), vec![TimerKind::Exchange]);
+        assert!(!q.has_due(t0));
+    }
+
+    /// The reference model: a flat list kept sorted by
+    /// `(max(tick_of(deadline), cursor), seq)`.
+    struct Model {
+        granularity: u64,
+        entries: Vec<(u64, u64, TimerKind)>,
+        cursor: u64,
+        seq: u64,
+    }
+
+    impl Model {
+        fn schedule(&mut self, offset_ns: u64, kind: TimerKind) {
+            let tick = (offset_ns.div_ceil(self.granularity)).max(self.cursor);
+            self.entries.push((tick, self.seq, kind));
+            self.seq += 1;
+            self.entries.sort();
+        }
+
+        fn pop_due(&mut self, now_ns: u64) -> Vec<TimerKind> {
+            let target = now_ns / self.granularity;
+            self.cursor = self.cursor.max(target);
+            let n = self.entries.iter().take_while(|e| e.0 <= target).count();
+            self.entries.drain(..n).map(|e| e.2).collect()
+        }
+    }
+
+    /// Seeded random schedule/pop sequences against the reference
+    /// model: past deadlines, bursts on one tick (which must fire in
+    /// insertion order), deadlines more than 512 granularities ahead
+    /// (where a 512-slot hashed wheel wraps round), and `has_due`
+    /// agreeing with a non-empty `pop_due` at every step.
+    #[test]
+    fn heap_matches_sorted_reference_model() {
+        for seed in 0..64u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let g_ns: u64 = [1_000_000, 250_000, 3_000_000][seed as usize % 3];
+            let start = Instant::now();
+            let mut q = TimerQueue::new(start, Duration::from_nanos(g_ns));
+            let mut model = Model {
+                granularity: g_ns,
+                entries: Vec::new(),
+                cursor: 0,
+                seq: 0,
+            };
+            let mut now_ns: u64 = 0;
+            let mut last_deadline: u64 = 0;
+            for step in 0..400u64 {
+                match rng.gen_range(0..10u32) {
+                    0..=5 => {
+                        let deadline = match rng.gen_range(0..6u32) {
+                            // in the past, possibly before the cursor
+                            0 => now_ns.saturating_sub(rng.gen_range(0..20 * g_ns)),
+                            // same deadline as the previous timer
+                            1 => last_deadline,
+                            // past where a 512-slot wheel wraps round
+                            2 => now_ns + rng.gen_range(512 * g_ns..4096 * g_ns),
+                            _ => now_ns + rng.gen_range(0..64 * g_ns),
+                        };
+                        last_deadline = deadline;
+                        let kind = TimerKind::SessionCheck { token: step };
+                        q.schedule(start + Duration::from_nanos(deadline), kind);
+                        model.schedule(deadline, kind);
+                    }
+                    6 => {
+                        // a pop at an instant behind the latest one
+                        let back = now_ns.saturating_sub(rng.gen_range(0..5 * g_ns));
+                        let at = start + Duration::from_nanos(back);
+                        let expect = model.pop_due(back);
+                        assert_eq!(q.has_due(at), !expect.is_empty(), "seed {seed}");
+                        assert_eq!(q.pop_due(at), expect, "seed {seed} step {step}");
+                    }
+                    _ => {
+                        now_ns += match rng.gen_range(0..4u32) {
+                            0 => 0,
+                            1 => rng.gen_range(0..g_ns),
+                            2 => rng.gen_range(0..32 * g_ns),
+                            _ => rng.gen_range(0..1024 * g_ns),
+                        };
+                        let at = start + Duration::from_nanos(now_ns);
+                        let expect = model.pop_due(now_ns);
+                        assert_eq!(q.has_due(at), !expect.is_empty(), "seed {seed}");
+                        assert_eq!(q.pop_due(at), expect, "seed {seed} step {step}");
+                        assert!(!q.has_due(at));
+                    }
+                }
+                assert_eq!(q.len(), model.entries.len());
+                let want = model
+                    .entries
+                    .first()
+                    .map(|e| start + Duration::from_nanos(g_ns * e.0.max(1)));
+                assert_eq!(q.next_deadline(), want, "seed {seed} step {step}");
+            }
+        }
     }
 }

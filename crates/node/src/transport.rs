@@ -89,6 +89,11 @@ impl WakeQueue {
         self.cv.notify_all();
     }
 
+    /// Whether no token is ready (a pending kick does not count).
+    pub fn is_empty(&self) -> bool {
+        self.inner.lock().expect("wake lock").ready.is_empty()
+    }
+
     /// Take the currently ready tokens without blocking.
     pub fn drain(&self) -> BTreeSet<u64> {
         let mut inner = self.inner.lock().expect("wake lock");

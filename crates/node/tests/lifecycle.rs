@@ -3,7 +3,7 @@
 //! Three failure-mode contracts the refactor must honour:
 //!
 //! 1. a **half-open peer** — completes the handshake then goes silent —
-//!    is reaped by the idle deadline on the timer wheel, and the peer
+//!    is reaped by the idle deadline on the timer queue, and the peer
 //!    observes the close;
 //! 2. a **`Bye` arriving while the decoder holds a partial frame**
 //!    still drains cleanly: the buffered frame is dispatched first,

@@ -8,11 +8,19 @@
 //! a diff between two runs.
 
 use bartercast_core::policy::ReputationPolicy;
-use bartercast_node::mem::MemConfig;
+use bartercast_core::PrivateHistory;
+use bartercast_node::clock::{Clock, VirtualClock};
+use bartercast_node::mem::{MemConfig, MemTransport};
+use bartercast_node::stats::NodeStats;
+use bartercast_node::transport::Transport;
+use bartercast_node::{NodeConfig, Reactor};
 use bartercast_swarm::{
     NodeSpec, PeerBehaviour, SwarmCluster, SwarmClusterConfig, SwarmEvent, SwarmEventKind,
-    SwarmParams, SwarmPolicy,
+    SwarmLedger, SwarmParams, SwarmPolicy, SwarmWorkload,
 };
+use bartercast_util::units::{Bytes, PeerId};
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 const HORIZON: Duration = Duration::from_secs(120);
@@ -127,5 +135,135 @@ fn the_adversity_actually_happened() {
         ledger.progress_of(bartercast_util::units::PeerId(8)).pieces > 0,
         "whitewashed freerider should resume downloading under the \
          fresh identity"
+    );
+}
+
+type Edges = BTreeMap<PeerId, Vec<(PeerId, PeerId, Bytes)>>;
+
+/// The [`SwarmCluster`] lockstep run rebuilt over the public runtime
+/// API (same boot order, bootstraps, seeds, churn and stop rule), with
+/// every reactor polled `polls` times back to back in each pass.
+fn run_polling(polls: usize) -> (SwarmLedger, BTreeMap<PeerId, NodeStats>, Edges) {
+    let mut config = adversarial_config();
+    config.events.sort_by_key(|e| e.at);
+    let clock = Arc::new(VirtualClock::new());
+    let transport = Arc::new(MemTransport::with_clock(
+        config.mem,
+        Arc::clone(&clock) as Arc<dyn Clock>,
+    ));
+    let ledger = Arc::new(Mutex::new(SwarmLedger::default()));
+    let mut reactors: BTreeMap<PeerId, Reactor> = BTreeMap::new();
+    let mut specs: BTreeMap<PeerId, NodeSpec> = BTreeMap::new();
+    let mut stats = BTreeMap::new();
+    let mut edges = BTreeMap::new();
+
+    let boot = |spec: NodeSpec,
+                reactors: &mut BTreeMap<PeerId, Reactor>,
+                specs: &mut BTreeMap<PeerId, NodeSpec>| {
+        let bootstrap: Vec<PeerId> = specs
+            .values()
+            .filter(|s| s.connectable && s.id != spec.id)
+            .map(|s| s.id)
+            .collect();
+        let node = NodeConfig {
+            seed: config.node.seed.wrapping_add(spec.id.0 as u64),
+            max_sessions: spec.max_sessions.unwrap_or(config.node.max_sessions),
+            ..config.node
+        };
+        let mut reactor = Reactor::new(
+            spec.id,
+            Arc::clone(&transport) as Arc<dyn Transport>,
+            bootstrap.clone(),
+            PrivateHistory::new(spec.id),
+            node,
+            Arc::clone(&clock) as Arc<dyn Clock>,
+        )
+        .expect("bind listener");
+        let params = SwarmParams {
+            behaviour: spec.behaviour,
+            seed_initial: spec.seed_initial,
+            ..config.params
+        };
+        let workload = SwarmWorkload::new(spec.id, params, bootstrap, Arc::clone(&ledger));
+        reactor.attach_workload(Box::new(workload), config.choke_interval);
+        specs.insert(spec.id, spec);
+        reactors.insert(spec.id, reactor);
+    };
+    for spec in config.nodes.clone() {
+        boot(spec, &mut reactors, &mut specs);
+    }
+
+    let snapshot = |r: &Reactor, stats: &mut BTreeMap<_, _>, edges: &mut Edges| {
+        stats.insert(r.id(), r.counters().snapshot());
+        edges.insert(r.id(), r.state().lock().unwrap().subjective_edges());
+    };
+    let mut next_event = 0;
+    while clock.elapsed() < HORIZON {
+        while next_event < config.events.len() && config.events[next_event].at <= clock.elapsed() {
+            let (old, fresh) = match config.events[next_event].kind {
+                SwarmEventKind::Leave(id) => (id, None),
+                SwarmEventKind::Whitewash { old, fresh } => (old, Some(fresh)),
+                SwarmEventKind::Join(_) => unreachable!("the adversarial run has no joins"),
+            };
+            next_event += 1;
+            let behaviour = specs[&old].behaviour;
+            let reactor = reactors.remove(&old).expect("live node");
+            snapshot(&reactor, &mut stats, &mut edges);
+            specs.remove(&old);
+            drop(reactor);
+            transport.disconnect(old);
+            if let Some(fresh) = fresh {
+                let spec = NodeSpec::new(fresh.0, behaviour, false);
+                boot(spec, &mut reactors, &mut specs);
+            }
+        }
+        for _ in 0..10_000 {
+            let mut progress = false;
+            for r in reactors.values_mut() {
+                for _ in 0..polls {
+                    progress |= r.poll_once();
+                }
+            }
+            if !progress {
+                break;
+            }
+        }
+        let Some(at) = reactors.values().filter_map(Reactor::next_wake).min() else {
+            break;
+        };
+        let now = clock.now();
+        clock.advance_to(at.max(now + Duration::from_micros(1)));
+    }
+    for r in reactors.values() {
+        snapshot(r, &mut stats, &mut edges);
+    }
+    let ledger = ledger.lock().unwrap().clone();
+    (ledger, stats, edges)
+}
+
+/// Per-instant settling must not depend on how often a reactor is
+/// polled: polling every reactor twice per pass — the second poll
+/// usually finding nothing due — leaves the ledger, every `NodeStats`
+/// and every subjective graph bitwise equal to the plain harness run.
+/// This extends the node crate's redundant-poll check to reactors with
+/// the piece workload, choke rounds, loss and churn attached.
+#[test]
+fn redundant_polls_change_nothing_in_a_lossy_swarm() {
+    let plain = run_to_horizon();
+    let once = run_polling(1);
+    assert_eq!(
+        once.0,
+        plain.ledger(),
+        "the rebuilt loop must match the harness"
+    );
+    assert_eq!(once.1, plain.stats());
+    assert_eq!(once.2, plain.edges());
+    let twice = run_polling(2);
+    assert_eq!(twice.0, plain.ledger(), "download totals diverged");
+    assert_eq!(twice.1, plain.stats(), "NodeStats diverged");
+    assert_eq!(
+        twice.2,
+        plain.edges(),
+        "subjective contribution graphs diverged"
     );
 }

@@ -40,7 +40,7 @@ cargo test -q -p bartercast-sim four_shard_smoke
 cargo test -q -p bartercast-node --test cluster
 # Node unit tests: wire envelope decoding (the v3-only handshake, the
 # unassigned kind byte 2, hostile bodies), the session state machine
-# and its Delta sender check, the reactor, timer wheel, MemTransport
+# and its Delta sender check, the reactor, timer queue, MemTransport
 # and loadgen. `cargo test -q` at the root does not reach them.
 cargo test -q -p bartercast-node --lib
 # Reactor determinism: the same lossy 8-node population driven in
@@ -70,6 +70,11 @@ cargo test -q -p bartercast-swarm --test determinism
 # cooperator finishes, with piece transfers (checked against the
 # ground-truth ledger) as the sole source of contribution edges.
 cargo test -q -p bartercast-swarm --test policies
+# Benchmark smoke test: tiny swarms and a 1-day trace through the
+# perfbench harness, traced and untraced, must agree bitwise and print
+# every metric BENCHMARK.json names. perfbench is its own workspace
+# (path dependencies on crates/*), so the root commands above skip it.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
 # The vendored proptest never writes regression files; any
 # proptest-regressions entry appearing in the tree means a test pulled
 # in the real crate or something is scribbling where it shouldn't.
